@@ -1,100 +1,98 @@
-"""Per-core activity timelines from trace records.
+"""Per-core activity timelines from causal spans.
 
-Run any simulation with ``trace=True``, then render what each core and
-the DMA engine were doing over time::
+Run any simulation with ``obs=ObsConfig(spans=True)``, then render what
+each core and the DMA engines were doing over time::
 
     result = run_mpi(topo, 2, main, bindings=[0, 4],
-                     mode="knem-ioat", trace=True)
-    print(render_timeline(result.machine.engine.tracer,
-                          ncores=topo.ncores))
+                     mode="knem-ioat", obs=ObsConfig(spans=True))
+    print(render_timeline(result.obs.spans, ncores=topo.ncores))
 
 Lanes show ``#`` where a CPU copy was in flight, the DMA lane shows
-``=`` during device transfers, and (for cluster runs) one lane per NIC
-shows ``~`` while frames are on the wire — the visual version of the
-paper's Fig. 2 (asynchronous transfer with I/OAT copy offload): the
-core lanes go quiet while the DMA lane fills.
+``=`` during device transfers (I/OAT channels and DSA engines alike),
+and (for cluster runs) one lane per NIC shows ``~`` while frames are on
+the wire — the visual version of the paper's Fig. 2 (asynchronous
+transfer with I/OAT copy offload): the core lanes go quiet while the
+DMA lane fills.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.errors import BenchmarkError
-from repro.sim.trace import Tracer
+from repro.obs.spans import Span
 
 __all__ = ["render_timeline", "core_busy_fraction"]
 
 
-_TIMED_KINDS = ("copy", "dma", "nic.tx")
+def _lane(span: Span) -> Optional[tuple[str, int]]:
+    """The lane a closed span is drawn on: ``("core", n)``, ``("dma",
+    0)`` or ``("nic", node)``; ``None`` for spans the timeline skips."""
+    if span.end is None:
+        return None
+    track = span.track
+    if span.kind == "copy" and track.startswith("core"):
+        return "core", int(track[4:])
+    if span.kind == "dma":
+        return "dma", 0
+    if span.kind == "wire" and track.startswith("nic") and track.endswith(".tx"):
+        return "nic", int(track[3:-3])
+    return None
 
 
-def _bounds(tracer: Tracer) -> tuple[float, float]:
-    spans = [
-        (r.time, r.fields.get("end", r.time))
-        for r in tracer.records
-        if r.kind in _TIMED_KINDS
-    ]
-    if not spans:
+def _drawn(spans: Iterable[Span]) -> list[tuple[tuple[str, int], Span]]:
+    drawn = [(lane, s) for s in spans if (lane := _lane(s)) is not None]
+    if not drawn:
         raise BenchmarkError(
-            "no copy/dma/nic trace records; run with trace=True"
+            "no copy/dma/wire spans; run with obs=ObsConfig(spans=True)"
         )
-    return min(t for t, _ in spans), max(e for _, e in spans)
+    return drawn
+
+
+def _bounds(drawn) -> tuple[float, float]:
+    return min(s.start for _, s in drawn), max(s.end for _, s in drawn)
 
 
 def render_timeline(
-    tracer: Tracer,
+    spans: Iterable[Span],
     ncores: int,
     width: int = 72,
     t0: Optional[float] = None,
     t1: Optional[float] = None,
 ) -> str:
-    """ASCII lanes: one per core, one for the DMA engine, and one per
-    NIC that put frames on the wire (auto-detected from the records)."""
-    lo, hi = _bounds(tracer)
+    """ASCII lanes: one per core, one for the DMA engines, and one per
+    NIC that put frames on the wire (auto-detected from the spans)."""
+    drawn = _drawn(spans)
+    lo, hi = _bounds(drawn)
     t0 = lo if t0 is None else t0
     t1 = hi if t1 is None else t1
-    span = max(t1 - t0, 1e-12)
+    window = max(t1 - t0, 1e-12)
 
-    lanes = {c: [" "] * width for c in range(ncores)}
-    dma_lane = [" "] * width
-    nic_nodes = sorted(
-        {
-            r.fields.get("node")
-            for r in tracer.records
-            if r.kind == "nic.tx" and r.fields.get("node") is not None
-        }
-    )
-    nic_lanes = {node: [" "] * width for node in nic_nodes}
+    nic_nodes = sorted({n for (what, n), _ in drawn if what == "nic"})
+    lanes = {("core", c): [" "] * width for c in range(ncores)}
+    lanes[("dma", 0)] = [" "] * width
+    lanes.update({("nic", n): [" "] * width for n in nic_nodes})
+    glyph = {"core": "#", "dma": "=", "nic": "~"}
 
     def cols(start: float, end: float) -> range:
-        a = int((start - t0) / span * (width - 1))
-        b = int((end - t0) / span * (width - 1))
+        a = int((start - t0) / window * (width - 1))
+        b = int((end - t0) / window * (width - 1))
         a = min(max(a, 0), width - 1)
         b = min(max(b, a), width - 1)
         return range(a, b + 1)
 
-    for record in tracer.records:
-        end = record.fields.get("end", record.time)
-        if record.kind == "copy":
-            lane = lanes.get(record.fields.get("core"))
-            if lane is not None:
-                for c in cols(record.time, end):
-                    lane[c] = "#"
-        elif record.kind == "dma":
-            for c in cols(record.time, end):
-                dma_lane[c] = "="
-        elif record.kind == "nic.tx":
-            lane = nic_lanes.get(record.fields.get("node"))
-            if lane is not None:
-                for c in cols(record.time, end):
-                    lane[c] = "~"
+    for lane_key, span in drawn:
+        lane = lanes.get(lane_key)
+        if lane is not None:
+            for c in cols(span.start, span.end):
+                lane[c] = glyph[lane_key[0]]
 
     lines = [f"timeline [{t0 * 1e6:.1f}us .. {t1 * 1e6:.1f}us]"]
     for core in range(ncores):
-        lines.append(f"core{core:<3d}|" + "".join(lanes[core]))
-    lines.append("dma    |" + "".join(dma_lane))
+        lines.append(f"core{core:<3d}|" + "".join(lanes[("core", core)]))
+    lines.append("dma    |" + "".join(lanes[("dma", 0)]))
     for node in nic_nodes:
-        lines.append(f"nic{node:<4d}|" + "".join(nic_lanes[node]))
+        lines.append(f"nic{node:<4d}|" + "".join(lanes[("nic", node)]))
     lines.append("       " + "-" * width)
     legend = "       # cpu copy   = dma transfer"
     if nic_nodes:
@@ -103,12 +101,9 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def core_busy_fraction(tracer: Tracer, core: int) -> float:
-    """Fraction of the traced window this core spent copying."""
-    lo, hi = _bounds(tracer)
-    busy = sum(
-        record.fields.get("end", record.time) - record.time
-        for record in tracer.records
-        if record.kind == "copy" and record.fields.get("core") == core
-    )
+def core_busy_fraction(spans: Iterable[Span], core: int) -> float:
+    """Fraction of the drawn window this core spent copying."""
+    drawn = _drawn(spans)
+    lo, hi = _bounds(drawn)
+    busy = sum(s.end - s.start for lane, s in drawn if lane == ("core", core))
     return min(busy / max(hi - lo, 1e-12), 1.0)

@@ -163,8 +163,8 @@ class Communicator:
         if obs.enabled:
             span = obs.begin(
                 "msg.send", kind="msg", track=f"core{self.core}",
-                parent=self._active_coll, dst=self.world_rank,
-                nbytes=nbytes, tag=tag, path="self",
+                parent=self._active_coll, src=self.world_rank,
+                dst=self.world_rank, nbytes=nbytes, tag=tag, path="self",
             )
         pkt = SelfPacket(
             src=self.world_rank,
@@ -201,8 +201,8 @@ class Communicator:
         if obs.enabled:
             span = obs.begin(
                 "msg.send", kind="msg", track=f"core{self.core}",
-                parent=self._active_coll, dst=dest_world,
-                nbytes=nbytes, tag=tag, path="eager",
+                parent=self._active_coll, src=self.world_rank,
+                dst=dest_world, nbytes=nbytes, tag=tag, path="eager",
             )
         cell = None
         if nbytes > 0:
@@ -234,23 +234,14 @@ class Communicator:
         world = self.world
         peer_core = world.core_of(dest_world)
         backend = world.select_backend(nbytes, self.world_rank, dest_world)
-        tracer = world.engine.tracer
-        if tracer.enabled:
-            tracer.emit(
-                world.engine.now,
-                "lmt",
-                backend=backend.name,
-                src=self.world_rank,
-                dst=dest_world,
-                nbytes=nbytes,
-            )
         obs = world.engine.obs
         msg_span = None
         if obs.enabled:
             msg_span = obs.begin(
                 "msg.send", kind="msg", track=f"core{self.core}",
                 parent=self._active_coll, backend=backend.name,
-                dst=dest_world, nbytes=nbytes, tag=tag, path="rndv",
+                src=self.world_rank, dst=dest_world, nbytes=nbytes, tag=tag,
+                path="rndv",
             )
         txn = world.new_txn()
         waiters = self.endpoint.open_txn(txn)

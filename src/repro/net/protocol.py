@@ -64,7 +64,7 @@ def send_eager(comm, views: list[BufferView], nbytes: int, dest_world: int, tag:
         msg_span = obs.begin(
             "msg.send", kind="msg", track=f"core{comm.core}",
             parent=getattr(comm, "_active_coll", None),
-            dst=dest_world, nbytes=nbytes, tag=tag,
+            src=comm.world_rank, dst=dest_world, nbytes=nbytes, tag=tag,
             path="net-eager-rdma" if rdma else "net-eager",
         )
     yield from comm._sw_overhead()

@@ -76,14 +76,10 @@ class Switch:
             dst = request.dst_node
             if not f.link_up(src_node, dst, now):
                 f.note_flap_drop()
-                self._emit_fault("fault.flap", src_node, request, desc)
                 return  # the link is down; the descriptor is lost
             if f.should_drop(src_node, dst, now):
-                self._emit_fault("fault.drop", src_node, request, desc)
                 return
             corrupt = f.should_corrupt(src_node, dst, now)
-            if corrupt:
-                self._emit_fault("fault.corrupt", src_node, request, desc)
         # Propagation to the switch + the forwarding decision.
         self.engine.schedule(
             p.link_latency + p.switch_latency,
@@ -93,18 +89,6 @@ class Switch:
             corrupt,
             attempt,
         )
-
-    def _emit_fault(self, kind: str, src_node: int, request, desc) -> None:
-        if self.engine.tracer.enabled:
-            self.engine.tracer.emit(
-                self.engine.now,
-                kind,
-                src=src_node,
-                dst=request.dst_node,
-                nbytes=desc.nbytes,
-                req=request.kind,
-                seq=request.seq,
-            )
 
     def _forward(self, request, desc, corrupt: bool = False, attempt: int = 0) -> None:
         if self._queues is None:

@@ -56,8 +56,7 @@ from repro.service.protocol import (
     DEFAULT_HOST,
     PROTOCOL_VERSION,
     ENDPOINT_FILE,
-    recv_msg,
-    send_msg,
+    Connection,
     write_endpoint,
 )
 
@@ -182,9 +181,10 @@ class Coordinator:
         trace_dir: Optional[str] = None,
         name: str = "service",
     ) -> None:
-        #: ``store`` is anything :class:`ResultCache` fronts: a
-        #: directory path, a store URL is NOT accepted here (pass the
-        #: opened store), or a ``ResultStore`` instance.
+        #: ``store`` is a :class:`ResultCache`, a ``ResultStore``
+        #: instance, or a directory path.  A string is always taken as
+        #: a directory, never parsed as a store URL: open a URL first
+        #: with :meth:`ResultCache.open`.
         self.cache = store if isinstance(store, ResultCache) else ResultCache(store)
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -389,13 +389,12 @@ class Coordinator:
     # ----------------------------------------------------------- connections
     def _serve_conn(self, conn: socket.socket) -> None:
         conn.settimeout(None)
-        rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
+        link = Connection(conn)
         worker_id: Optional[str] = None
         try:
             while True:
                 try:
-                    msg = recv_msg(rfile)
+                    msg = link.recv()
                 except ServiceError:
                     break  # garbage on the wire: drop the connection
                 if msg is None:
@@ -406,16 +405,13 @@ class Coordinator:
                 else:
                     reply = self._handle(msg)
                 try:
-                    send_msg(wfile, reply)
+                    link.send(reply)
                 except OSError:
                     break
                 if reply.get("type") == "bye":
                     break
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            link.close()
             if worker_id is not None:
                 self._agent_gone(worker_id)
 

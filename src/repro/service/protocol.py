@@ -51,6 +51,7 @@ __all__ = [
     "DEFAULT_HOST",
     "send_msg",
     "recv_msg",
+    "Connection",
     "connect",
     "request",
     "write_endpoint",
@@ -87,8 +88,42 @@ def recv_msg(rfile) -> Optional[dict]:
     return msg
 
 
-def connect(host: str, port: int, timeout: Optional[float] = 10.0):
-    """Open a connection; returns ``(sock, rfile, wfile)``."""
+class Connection:
+    """One socket and its two buffered file handles, closed together.
+
+    A socket's peer sees EOF only once the socket *and* every file
+    object made from it are closed, and the coordinator detects a dead
+    agent by exactly that EOF — so nothing but :meth:`close` may end a
+    connection.  Use as a context manager.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+        self.wfile = sock.makefile("wb")
+
+    def send(self, msg: dict) -> None:
+        send_msg(self.wfile, msg)
+
+    def recv(self) -> Optional[dict]:
+        return recv_msg(self.rfile)
+
+    def close(self) -> None:
+        for handle in (self.wfile, self.rfile, self.sock):
+            try:
+                handle.close()
+            except OSError:
+                pass  # e.g. flushing to a peer that already hung up
+
+    def __enter__(self) -> "Connection":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def connect(host: str, port: int, timeout: Optional[float] = 10.0) -> Connection:
+    """Open a :class:`Connection` to ``host:port``."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
@@ -98,20 +133,14 @@ def connect(host: str, port: int, timeout: Optional[float] = 10.0):
     # The timeout above bounds connect; reads block until the reply
     # (trial execution happens coordinator-side of a fetch, never here).
     sock.settimeout(timeout)
-    return sock, sock.makefile("rb"), sock.makefile("wb")
+    return Connection(sock)
 
 
 def request(host: str, port: int, msg: dict, timeout: Optional[float] = 30.0) -> dict:
     """One-shot request/response on a fresh connection."""
-    sock, rfile, wfile = connect(host, port, timeout=timeout)
-    try:
-        send_msg(wfile, msg)
-        reply = recv_msg(rfile)
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+    with connect(host, port, timeout=timeout) as conn:
+        conn.send(msg)
+        reply = conn.recv()
     if reply is None:
         raise ServiceError(
             f"coordinator at {host}:{port} closed the connection without "

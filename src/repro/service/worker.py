@@ -26,7 +26,7 @@ from typing import Optional
 from repro.campaign.chaos import POOL_KILL_ENV
 from repro.campaign.executor import run_trial
 from repro.errors import ServiceError
-from repro.service.protocol import connect, recv_msg, send_msg
+from repro.service.protocol import connect
 
 __all__ = ["agent_loop"]
 
@@ -53,13 +53,12 @@ def agent_loop(
     """
     if defuse_chaos:
         os.environ.pop(POOL_KILL_ENV, None)
-    sock, rfile, wfile = connect(host, port, timeout=30.0)
-    sock.settimeout(None)  # "next" replies may wait on the coordinator
-    t0 = time.time()
     ran = 0
-    try:
-        send_msg(wfile, {"type": "attach", "agent": name})
-        hello = recv_msg(rfile)
+    with connect(host, port, timeout=30.0) as conn:
+        conn.sock.settimeout(None)  # "next" replies may wait on the coordinator
+        t0 = time.time()
+        conn.send({"type": "attach", "agent": name})
+        hello = conn.recv()
         if hello is None or hello.get("type") != "attached":
             raise ServiceError(f"attach refused: {hello!r}")
         worker_id = hello["worker"]
@@ -68,8 +67,8 @@ def agent_loop(
                 break
             if max_wall is not None and time.time() - t0 > max_wall:
                 break
-            send_msg(wfile, {"type": "next", "worker": worker_id})
-            msg = recv_msg(rfile)
+            conn.send({"type": "next", "worker": worker_id})
+            msg = conn.recv()
             if msg is None or msg["type"] == "shutdown":
                 break
             if msg["type"] == "idle":
@@ -78,8 +77,7 @@ def agent_loop(
             if msg["type"] != "trial":
                 raise ServiceError(f"unexpected dispatch reply: {msg!r}")
             record = run_trial(msg["config"], trace_dir)
-            record.pop("wall", None)  # host-local, never on the wire
-            send_msg(wfile, {
+            conn.send({
                 "type": "report",
                 "worker": worker_id,
                 "sub": msg["sub"],
@@ -88,15 +86,10 @@ def agent_loop(
                 "token": msg["token"],
                 "record": record,
             })
-            ack = recv_msg(rfile)
+            ack = conn.recv()
             if ack is None:
                 break
             ran += 1
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
     return ran
 
 

@@ -6,6 +6,7 @@ from repro.errors import MpiError
 from repro.hw import cluster_of, xeon_e5345
 from repro.mpi import run_cluster, run_mpi
 from repro.net import FabricParams
+from repro.obs import ObsConfig
 from repro.units import KiB, MiB
 
 TOPO = xeon_e5345()
@@ -104,11 +105,11 @@ def test_per_pair_backend_selection_traced():
         3,
         main,
         bindings=[(0, 0), (0, 1), (1, 0)],
-        trace=True,
+        obs=ObsConfig(spans=True),
     )
     assert r.results[1:] == [5, 5]
-    lmt = {(rec.fields["src"], rec.fields["dst"]): rec.fields["backend"]
-           for rec in r.world.engine.tracer.of_kind("lmt")}
+    lmt = {(s.attrs["src"], s.attrs["dst"]): s.attrs["backend"]
+           for s in r.obs.spans if s.name == "msg.send" and "backend" in s.attrs}
     assert lmt[(0, 2)] == "nic+rdma"
     assert (0, 1) in lmt and lmt[(0, 1)] != "nic+rdma"
 

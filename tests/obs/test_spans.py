@@ -140,6 +140,24 @@ def test_untraced_run_produces_no_spans():
     assert result.obs.spans == []
 
 
+def test_spans_leave_sim_timeline_byte_identical():
+    """Recording spans on vs off changes nothing observable in
+    simulated time: elapsed, event count, every per-core PAPI counter."""
+    def run(obs):
+        return run_mpi(TOPO, 2, _pingpong(1 * MiB, reps=2), bindings=[0, 4],
+                       mode="knem-ioat", obs=obs)
+
+    plain = run(None)
+    traced = run(ObsConfig(spans=True))
+    assert traced.obs.spans
+    assert plain.elapsed == traced.elapsed
+    assert (
+        plain.world.engine.events_executed
+        == traced.world.engine.events_executed
+    )
+    assert plain.machine.papi.snapshot() == traced.machine.papi.snapshot()
+
+
 # ------------------------------------------------ fault-injected retries
 def test_nic_retries_appear_as_sibling_attempts_under_one_send():
     result = run_cluster(

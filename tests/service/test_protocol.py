@@ -105,11 +105,11 @@ def echo_server():
 
 def test_connect_and_request():
     port, t = echo_server()
-    sock, rfile, wfile = connect("127.0.0.1", port)
-    send_msg(wfile, {"type": "ping"})
-    assert recv_msg(rfile) == {"type": "echo", "got": {"type": "ping"}}
-    sock.close()
+    with connect("127.0.0.1", port) as conn:
+        conn.send({"type": "ping"})
+        assert conn.recv() == {"type": "echo", "got": {"type": "ping"}}
     t.join(timeout=5)
+    assert not t.is_alive()  # closing all three handles delivered EOF
 
 
 def test_request_one_shot():

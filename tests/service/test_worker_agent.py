@@ -9,7 +9,7 @@ from repro.campaign import CampaignSpec, canonical_json, run_campaign
 from repro.campaign.chaos import POOL_KILL_ENV
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
-from repro.service.protocol import connect, recv_msg, send_msg
+from repro.service.protocol import connect
 from repro.service.stores import MemoryStore
 from repro.service.worker import agent_loop
 from repro.units import KiB
@@ -61,10 +61,9 @@ def test_agents_are_incarnation_tagged(tmp_path):
     ) as co:
         ids = []
         for _ in range(2):
-            sock, rfile, wfile = connect(co.host, co.port)
-            send_msg(wfile, {"type": "attach", "agent": "ext"})
-            ids.append(recv_msg(rfile)["worker"])
-            sock.close()
+            with connect(co.host, co.port) as conn:
+                conn.send({"type": "attach", "agent": "ext"})
+                ids.append(conn.recv()["worker"])
         assert ids == ["ext.1", "ext.2"]
 
 
