@@ -367,8 +367,9 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
     fleet.add_argument(
         "--supervise",
         action="store_true",
-        help="run/resume through the crash-tolerant supervised fleet "
-        "(durable lease journal, heartbeats, retry budgets)",
+        help="run/resume through an in-process coordinator with local "
+        "agents (durable lease journal, requeue on agent death, lease "
+        "watchdog, retry budgets)",
     )
     fleet.add_argument(
         "--state-dir",
@@ -395,12 +396,6 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
         help="per-trial wall-clock watchdog budget in seconds",
     )
     fleet.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=10.0,
-        help="max heartbeat age before a worker is presumed wedged",
-    )
-    fleet.add_argument(
         "--backoff-base",
         type=float,
         default=0.05,
@@ -420,8 +415,8 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--kill-points",
-        default="mid-trial,store-write,journal-append",
-        help="comma list of chaos kill points",
+        default="mid-trial",
+        help="comma list of chaos kill points (mid-trial, hang)",
     )
     return p
 
@@ -517,7 +512,8 @@ def _run_campaign_cli(argv: list[str]) -> int:
     spec = _campaign_spec(args)
 
     if args.action == "chaos":
-        from repro.campaign import ChaosPlan, run_chaos_check
+        from repro.campaign import ChaosPlan
+        from repro.service import run_chaos_check
 
         plan = ChaosPlan(
             seed=args.seed,
@@ -537,7 +533,6 @@ def _run_campaign_cli(argv: list[str]) -> int:
             workers=max(2, args.workers),
             retry_budget=args.retry_budget,
             lease_ttl=args.lease_ttl,
-            heartbeat_timeout=args.heartbeat_timeout,
             backoff_base=args.backoff_base,
         )
         print(report.describe())
@@ -565,7 +560,7 @@ def _run_campaign_cli(argv: list[str]) -> int:
             file=sys.stderr,
         )
     if args.supervise:
-        from repro.campaign import run_supervised
+        from repro.service import run_supervised
 
         if cache is None:
             print(
@@ -581,7 +576,6 @@ def _run_campaign_cli(argv: list[str]) -> int:
             workers=max(1, args.workers),
             retry_budget=args.retry_budget,
             lease_ttl=args.lease_ttl,
-            heartbeat_timeout=args.heartbeat_timeout,
             backoff_base=args.backoff_base,
         )
         for name in sorted(run.fleet or ()):

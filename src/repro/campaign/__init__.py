@@ -15,31 +15,26 @@ scripts:
   baseline regression gate;
 * :mod:`~repro.campaign.queue` — durable JSONL lease journal whose
   replay rebuilds exact queue state after any kill point;
-* :mod:`~repro.campaign.supervisor` — heartbeat-leased worker
-  processes with death detection, requeue, retry budgets and
-  quarantine;
-* :mod:`~repro.campaign.chaos` — seeded worker-kill injection plus the
-  self-check that recovery is byte-exact;
-* :mod:`~repro.campaign.telemetry` — live supervised-fleet status:
-  atomic ``status.json`` + Prometheus text exposition rewritten while
-  the queue drains.
+* :mod:`~repro.campaign.chaos` — seeded worker-kill plans;
+* :mod:`~repro.campaign.telemetry` — live fleet status: atomic
+  ``status.json`` + Prometheus text exposition rewritten while the
+  queue drains.
+
+The crash-tolerant fleet that drives the queue — worker agents, death
+detection, requeue, retry budgets, quarantine — is the coordinator in
+:mod:`repro.service`; ``repro.service.run_supervised`` runs one spec
+through it and ``repro.service.run_chaos_check`` proves recovery is
+byte-exact.
 
 CLI: ``repro-bench campaign run|resume|compare|report|chaos``
-(``--supervise`` routes run/resume through the crash-tolerant fleet;
+(``--supervise`` routes run/resume through the coordinator;
 ``report --fleet`` reads the telemetry files).
 """
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.chaos import (
-    KILL_POINTS,
-    ChaosPlan,
-    ChaosReport,
-    ChaosState,
-    run_chaos_check,
-)
+from repro.campaign.chaos import KILL_POINTS, ChaosPlan, ChaosState
 from repro.campaign.executor import CampaignRun, run_campaign, run_trial
 from repro.campaign.queue import Lease, LeaseQueue
-from repro.campaign.supervisor import FleetConfig, run_supervised
 from repro.campaign.spec import (
     MACHINES,
     WORKLOADS,
@@ -75,14 +70,10 @@ __all__ = [
     "run_trial",
     "run_campaign",
     "CampaignRun",
-    "run_supervised",
-    "FleetConfig",
     "LeaseQueue",
     "Lease",
     "ChaosPlan",
     "ChaosState",
-    "ChaosReport",
-    "run_chaos_check",
     "KILL_POINTS",
     "aggregate",
     "compare_campaigns",

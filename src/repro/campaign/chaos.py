@@ -2,35 +2,31 @@
 
 This is :mod:`repro.faults` lifted one layer up: where a
 :class:`~repro.faults.FaultPlan` drops packets on the simulated wire,
-a :class:`ChaosPlan` SIGKILLs *real worker processes* at the campaign
-layer's torn-state windows — and the same seeded-substream discipline
+a :class:`ChaosPlan` SIGKILLs *real worker processes* — the
+coordinator's local agents — and the same seeded-substream discipline
 applies, so two runs with the same plan kill the same (trial, attempt)
 pairs at the same points regardless of worker scheduling.
 
-Kill points, each targeting one crash-consistency mechanism:
+Kill points, each targeting one death detector of the coordinator:
 
-* ``mid-trial`` — die holding a lease with nothing on disk; recovery
-  must requeue from the journal;
-* ``store-write`` — leave a *torn* record at the result path, then
-  die; the content-addressed cache must self-heal and re-run;
-* ``journal-append`` — append half a ``complete`` line, then die; the
-  journal replay must skip the fragment and the tail-healing must keep
-  later events parseable;
+* ``mid-trial`` — die holding a lease with nothing reported; the
+  dropped socket must requeue the trial;
 * ``spawn`` — die before taking any lease (worker death while idle);
-* ``hang`` — sleep forever while still heartbeating, so only the
+  drawn per (slot, incarnation) with ``spawn_kill_prob``;
+* ``hang`` — sleep forever with the socket still open, so only the
   lease-deadline watchdog can reclaim the trial.
 
 Attempts past ``max_kill_attempts`` are never killed, so every trial
 settles: chaos perturbs *when* work happens, never *what* the final
-campaign document says — which :func:`run_chaos_check` proves by
-byte-comparing the recovered document against an undisturbed run.
+campaign document says — which
+:func:`repro.service.fleet.run_chaos_check` proves by byte-comparing
+the recovered document against an undisturbed run.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -42,12 +38,10 @@ __all__ = [
     "ChaosPlan",
     "ChaosState",
     "pool_kill_armed",
-    "ChaosReport",
-    "run_chaos_check",
 ]
 
 #: Kill points a plan may draw from (see the module docstring).
-KILL_POINTS = ("mid-trial", "store-write", "journal-append", "spawn", "hang")
+KILL_POINTS = ("mid-trial", "spawn", "hang")
 
 #: Env var arming the *pool-mode* kill hook: a comma list of trial-hash
 #: prefixes; a pool worker whose trial matches SIGKILLs itself before
@@ -70,14 +64,14 @@ class ChaosPlan:
     #: Per-(trial, attempt) kill probability.
     kill_prob: float = 0.0
     #: Kill points drawn (uniformly, from the same substream) on a hit.
-    points: tuple = ("mid-trial", "store-write", "journal-append")
+    points: tuple = ("mid-trial",)
     #: Attempts beyond this are never killed — the termination bound.
     max_kill_attempts: int = 3
     #: Probability a freshly spawned worker dies before its first
     #: lease (the "before lease" kill point; per incarnation).
     spawn_kill_prob: float = 0.0
     #: Kills injected unconditionally: ``(trial_hash, attempt, point)``
-    #: triples.  :func:`run_chaos_check` uses this to guarantee the
+    #: triples.  ``run_chaos_check`` uses this to guarantee the
     #: harness always bites — when the seeded draws happen to produce
     #: zero kills for a small trial set, it forces exactly one,
     #: deterministically.
@@ -109,7 +103,7 @@ class ChaosPlan:
 
 
 class ChaosState:
-    """Per-process decision maker for a plan (workers build their own).
+    """Decision maker for a plan (the coordinator holds one).
 
     Decisions are drawn from ``default_rng([seed, key...])`` substreams
     keyed on the trial hash and attempt (or worker slot and
@@ -150,11 +144,13 @@ class ChaosState:
 
 
 def pool_kill_armed(config: dict) -> bool:
-    """Pool-mode kill hook: should this child die before this trial?
+    """Pool-mode kill hook: should this pool child die before this trial?
 
     Reads :data:`POOL_KILL_ENV` (hash prefixes) and fires only when
     running inside a :mod:`multiprocessing` child — the orchestrating
-    process never self-kills, no matter what the env says.
+    process never self-kills, no matter what the env says.  Only
+    ``run_campaign``'s pool consults it; the coordinator's local agents
+    take a :class:`ChaosPlan` instead.
     """
     prefixes = os.environ.get(POOL_KILL_ENV, "")
     if not prefixes:
@@ -167,118 +163,3 @@ def pool_kill_armed(config: dict) -> bool:
 
     h = trial_hash(config)
     return any(h.startswith(p) for p in prefixes.split(",") if p)
-
-
-# ------------------------------------------------------------- self-check
-@dataclass
-class ChaosReport:
-    """Outcome of :func:`run_chaos_check` (the chaos harness verdict)."""
-
-    clean_doc: dict
-    chaos_doc: dict
-    identical: bool
-    worker_deaths: int
-    requeues: int
-    kills_journaled: int
-    quarantined: list
-    fleet: dict
-    journal_path: str
-
-    @property
-    def ok(self) -> bool:
-        """Chaos actually bit (>=1 kill, >=1 requeue) and the recovered
-        document is byte-identical to the undisturbed run's."""
-        return self.identical and self.worker_deaths >= 1 and self.requeues >= 1
-
-    def describe(self) -> str:
-        lines = [
-            f"chaos: {self.worker_deaths} worker death(s) observed, "
-            f"{self.kills_journaled} kill(s) journaled, "
-            f"{self.requeues} requeue(s), "
-            f"{len(self.quarantined)} quarantined",
-            f"byte-identical: {'yes' if self.identical else 'NO'}",
-        ]
-        for name in sorted(self.fleet):
-            value = self.fleet[name]
-            # Histogram snapshots (wall.* latency dicts) have their own
-            # surface in the telemetry files; only scalars print here.
-            if isinstance(value, (int, float)):
-                lines.append(f"  {name} = {value:g}")
-        return "\n".join(lines)
-
-
-def run_chaos_check(
-    spec,
-    plan: ChaosPlan,
-    *,
-    state_dir: str | Path,
-    workers: int = 2,
-    retry_budget: int = 3,
-    lease_ttl: float = 60.0,
-    heartbeat_timeout: float = 10.0,
-    backoff_base: float = 0.05,
-) -> ChaosReport:
-    """Run ``spec`` once undisturbed and once under ``plan``, compare.
-
-    Both runs start from cold, separate stores under ``state_dir``
-    (``clean/`` and ``chaos/``), so the only difference between them is
-    the injected kills — byte-identical documents therefore prove that
-    journal replay + store reconciliation recover *exactly*.
-    """
-    import dataclasses
-
-    from repro.campaign.cache import ResultCache
-    from repro.campaign.queue import journal_counters
-    from repro.campaign.spec import canonical_json
-    from repro.campaign.supervisor import run_supervised
-
-    if not plan.armed:
-        raise CampaignError("chaos check needs an armed plan (kill_prob > 0)")
-    # The check's whole point is that chaos *bites*: with few trials and
-    # a modest kill_prob the seeded draws can legitimately come up all
-    # clean, so precompute them and force exactly one first-attempt kill
-    # when that happens (still deterministic — same spec + plan always
-    # forces the same kill).
-    trials = list(spec.trials())
-    if not plan.forced and trials:
-        # Only attempt-1 draws can *start* a kill chain (attempt n > 1
-        # exists only because attempt n-1 was already killed), so probe
-        # those — a hit at a later attempt alone would never be reached.
-        probe = ChaosState(plan)
-        would_fire = any(
-            probe.kill_point(t.hash, 1) for t in trials
-        ) or any(probe.spawn_kill(slot, 1) for slot in range(workers))
-        if not would_fire:
-            plan = dataclasses.replace(
-                plan, forced=((trials[0].hash, 1, plan.points[0]),)
-            )
-    state_dir = Path(state_dir)
-    clean_dir = state_dir / "clean"
-    chaos_dir = state_dir / "chaos"
-    clean = run_supervised(
-        spec, cache=ResultCache(clean_dir / "results"),
-        workers=workers, state_dir=clean_dir, chaos=None,
-        retry_budget=retry_budget, lease_ttl=lease_ttl,
-        heartbeat_timeout=heartbeat_timeout, backoff_base=backoff_base,
-    )
-    disturbed = run_supervised(
-        spec, cache=ResultCache(chaos_dir / "results"),
-        workers=workers, state_dir=chaos_dir, chaos=plan,
-        retry_budget=retry_budget, lease_ttl=lease_ttl,
-        heartbeat_timeout=heartbeat_timeout, backoff_base=backoff_base,
-    )
-    clean_doc = clean.document()
-    chaos_doc = disturbed.document()
-    fleet = dict(disturbed.fleet or {})
-    journal = chaos_dir / "journal.jsonl"
-    return ChaosReport(
-        clean_doc=clean_doc,
-        chaos_doc=chaos_doc,
-        identical=canonical_json(clean_doc) == canonical_json(chaos_doc),
-        worker_deaths=int(fleet.get("campaign.worker_deaths", 0)),
-        requeues=int(fleet.get("campaign.requeues", 0)),
-        kills_journaled=journal_counters(journal)["chaos_kills"],
-        quarantined=list(disturbed.quarantined),
-        fleet=fleet,
-        journal_path=str(journal),
-    )

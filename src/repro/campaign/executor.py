@@ -365,13 +365,6 @@ def run_trial(config: dict, trace_dir: Optional[str] = None) -> dict:
         "error": None,
     }
     try:
-        from repro.campaign.chaos import pool_kill_armed
-
-        if pool_kill_armed(config):  # chaos harness: die before the trial
-            import os
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
         fn = _WORKLOAD_FNS[config["workload"]]
         metrics = fn(config, _obs(config, trace_dir))
         record["primary"] = metrics.pop("primary")
@@ -389,12 +382,12 @@ class CampaignRun:
     spec: CampaignSpec
     trials: list[Trial]
     records: list[dict]
-    #: Trial hashes poisoned out by the supervised fleet (a trial that
+    #: Trial hashes poisoned out by the coordinator (a trial that
     #: failed deterministically ``retry_budget`` times); always empty
     #: for plain (unsupervised) runs.
     quarantined: list = field(default_factory=list)
     #: Fleet telemetry snapshot (leases, requeues, worker deaths) from
-    #: a supervised run.  Deliberately NOT part of :meth:`document` —
+    #: ``run_supervised``.  Deliberately NOT part of :meth:`document` —
     #: the document must be a pure function of the spec, so recovered
     #: and undisturbed runs compare byte-identical.
     fleet: Optional[dict] = None
@@ -482,6 +475,18 @@ def _death_record(config: dict) -> dict:
     }
 
 
+def _pool_trial(config: dict, trace_dir: Optional[str]) -> dict:
+    """:func:`run_trial` inside a pool worker, behind the chaos kill hook."""
+    from repro.campaign.chaos import pool_kill_armed
+
+    if pool_kill_armed(config):  # chaos harness: die before the trial
+        import os
+        import signal
+
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_trial(config, trace_dir)
+
+
 def _pool_run(runner, configs: list[dict], workers: int) -> list[dict]:
     """``pool.map`` with worker-death containment.
 
@@ -540,11 +545,12 @@ def run_campaign(
             pending.append((i, trial))
     if pending:
         configs = [t.config for _, t in pending]
-        runner = partial(run_trial, trace_dir=trace_dir)
         if workers > 1 and len(configs) > 1:
-            fresh = _pool_run(runner, configs, workers)
+            fresh = _pool_run(
+                partial(_pool_trial, trace_dir=trace_dir), configs, workers
+            )
         else:
-            fresh = [runner(c) for c in configs]
+            fresh = [run_trial(c, trace_dir) for c in configs]
         for (i, trial), record in zip(pending, fresh):
             if cache is not None and record["status"] == "ok":
                 cache.put(trial.hash, record)

@@ -2,9 +2,9 @@
 
 The fleet's single source of truth is an append-only JSONL *journal*:
 one event per line, each line written with a single ``O_APPEND``
-``write(2)`` plus ``fsync``, so concurrent writers (the supervisor and
-its workers) never interleave bytes and a SIGKILL between two events
-loses at most the event that had not been written yet.  Queue state is
+``write(2)`` plus ``fsync`` by its one writer (the coordinator), so a
+SIGKILL between two events loses at most the event that had not been
+written yet.  Queue state is
 never stored — it is *replayed* from the journal, so recovery after
 any kill point is exact: rebuild the per-trial state machine, complete
 trials whose result already landed in the content-addressed store,
@@ -21,13 +21,11 @@ Per-trial state machine (replayed by :func:`apply_event`)::
        |              +-----------------> quarantined    (terminal)
 
 Terminal states win: once a trial is ``done`` or ``quarantined`` no
-later event moves it, so duplicated or stale events — a worker's
-``complete`` landing after the supervisor already reconciled the trial
-from the store, a requeue racing a completion — replay idempotently.
-Unparseable lines (the torn tail of a killed append, injected by the
-chaos harness) are counted and skipped, and the tail is newline-healed
-before the next append so one torn fragment can never swallow a later
-event.
+later event moves it, so duplicated or stale events — a ``complete``
+journaled again by recovery, a requeue racing a completion — replay
+idempotently.  Unparseable lines (the torn tail of a killed append)
+are counted and skipped, and the tail is newline-healed before the
+next append so one torn fragment can never swallow a later event.
 
 Failures consume the per-trial retry budget with exponential backoff
 (``not_before`` is recorded in the event, so replay restores the exact
@@ -55,6 +53,7 @@ __all__ = [
     "append_event",
     "apply_event",
     "replay_lines",
+    "journal_states",
     "journal_counters",
 ]
 
@@ -74,7 +73,7 @@ def append_event(path: str | Path, event: dict) -> None:
     The whole line (JSON + newline) goes through one ``os.write`` on an
     ``O_APPEND`` descriptor, then ``fsync`` — concurrent appenders
     cannot interleave, and a crash either persists the full line or
-    none of it (the chaos harness injects the "half a line" case the
+    none of it (the restart tests inject the "half a line" case the
     replay must also survive).
     """
     line = json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
@@ -190,6 +189,16 @@ def replay_lines(lines) -> tuple[dict[str, TrialState], dict]:
             counters["chaos_kills"] += 1
         apply_event(states, event)
     return states, counters
+
+
+def journal_states(path: str | Path) -> dict[str, TrialState]:
+    """Replayed per-trial states of a journal file (empty if absent)."""
+    path = Path(path)
+    if not path.exists():
+        return {}
+    with open(path) as fh:
+        states, _ = replay_lines(fh)
+    return states
 
 
 def journal_counters(path: str | Path) -> dict:
@@ -337,19 +346,8 @@ class LeaseQueue:
             raise LeaseExpired(lease.trial, lease.worker, lease.attempt)
         return state
 
-    def note_complete(self, lease: Lease) -> None:
-        """Mark done *without* journaling (the worker already did).
-
-        Workers append their own ``complete`` event right after the
-        store write — that append is the durable one; the supervisor
-        only folds the outcome into its in-memory state.
-        """
-        state = self._live_state(lease)
-        state.status = "done"
-        state.token = None
-
     def complete(self, lease: Lease) -> None:
-        """Journal + mark a completion (single-writer callers)."""
+        """Journal + mark a completion."""
         state = self._live_state(lease)
         self._append({
             "ev": "complete", "hash": lease.trial, "worker": lease.worker,
@@ -359,10 +357,10 @@ class LeaseQueue:
         state.token = None
 
     def complete_external(self, trial: str, reason: str) -> None:
-        """Reconcile a trial whose result landed but whose worker died.
+        """Complete a trial whose result landed without a live lease
+        (recovered from the store, or deduplicated from another queue).
 
-        Idempotent: a duplicate ``complete`` (the worker's own append
-        made it after all) replays inert.
+        Idempotent: a duplicate ``complete`` replays inert.
         """
         state = self.states[trial]
         self._append({"ev": "complete", "hash": trial, "reason": reason})
@@ -409,6 +407,10 @@ class LeaseQueue:
             "ev": "requeue", "hash": lease.trial, "worker": lease.worker,
             "attempt": lease.attempt, "token": lease.token, "reason": reason,
         })
+
+    def log_chaos(self, **fields) -> None:
+        """Journal an injected kill (replay counts it, states ignore it)."""
+        self._append({"ev": "chaos", **fields})
 
     def expire(self, now: float) -> list[str]:
         """Requeue every lease past its journaled deadline."""

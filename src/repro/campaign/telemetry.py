@@ -1,8 +1,8 @@
 """Live fleet telemetry: status.json + Prometheus text exposition.
 
-While a supervised campaign drains, the operator's only window into
-the fleet used to be the journal (append-only, replay-to-read).  This
-module gives the supervisor a *push* surface: every ``interval``
+While the coordinator serves, the operator's only window into the
+fleet used to be the journal (append-only, replay-to-read).  This
+module gives the coordinator a *push* surface: every ``interval``
 seconds it rewrites two files in the campaign's state directory —
 
 * ``status.json`` — an atomic point-in-time document: queue depths,
@@ -17,7 +17,7 @@ seconds it rewrites two files in the campaign's state directory —
 Both files go through the atomic tmp+fsync+rename writers in
 :mod:`repro.bench.store`, so a reader — ``repro-bench campaign report
 --fleet``, a dashboard, ``watch cat`` — never sees a torn document no
-matter when the supervisor is killed.  The writer itself is
+matter when the coordinator is killed.  The writer itself is
 crash-inert: telemetry files are pure output, never read back by
 recovery.
 """
@@ -100,7 +100,7 @@ def histogram_summary(hist) -> dict:
 
 
 class FleetTelemetry:
-    """The supervisor's periodic status writer.
+    """The coordinator's periodic status writer.
 
     Owns no state of its own beyond the rewrite clock: every tick reads
     the live registry/queue/cache and rewrites both files, so a missed
@@ -163,8 +163,8 @@ class FleetTelemetry:
     # ----------------------------------------------------------- ticks
     def maybe_write(self) -> bool:
         """Rewrite both files if ``interval`` elapsed; returns whether
-        a write happened.  The first call always writes (a supervised
-        run should become observable immediately)."""
+        a write happened.  The first call always writes (a fleet
+        should become observable immediately)."""
         now = self.clock()
         if self._last_write is not None and now - self._last_write < self.interval:
             return False

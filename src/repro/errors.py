@@ -151,7 +151,7 @@ class BenchmarkError(ReproError):
 
 
 class CampaignError(ReproError):
-    """Errors from the campaign fleet (lease queue, supervisor, chaos)."""
+    """Errors from the campaign fleet (lease queue, supervised runs, chaos)."""
 
 
 class LeaseExpired(CampaignError):
@@ -160,7 +160,7 @@ class LeaseExpired(CampaignError):
     Raised by :class:`repro.campaign.queue.LeaseQueue` when a
     completion or failure report arrives for a lease that was requeued
     (worker presumed dead, deadline passed) and possibly re-granted.
-    The supervisor treats it as a stale message, never a fatal error:
+    The coordinator treats it as a stale message, never a fatal error:
     the result store is content-addressed, so a late completion is
     harmless.
     """

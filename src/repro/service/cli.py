@@ -73,6 +73,11 @@ def _parser() -> argparse.ArgumentParser:
         help="deterministic failures before a trial is quarantined",
     )
     start.add_argument(
+        "--kill-prob", type=float, default=0.0,
+        help="chaos: per-(trial, attempt) probability a local agent is "
+        "SIGKILLed mid-trial (seed 0; default: 0, no chaos)",
+    )
+    start.add_argument(
         "--max-wall", type=float, default=None,
         help="stop the coordinator after this many seconds (CI harness)",
     )
@@ -132,6 +137,7 @@ def _format_sub_status(s: dict) -> str:
 
 
 def _run_start(args) -> int:
+    from repro.campaign.chaos import ChaosPlan
     from repro.service.coordinator import Coordinator
     from repro.service.stores import open_store
 
@@ -146,6 +152,7 @@ def _run_start(args) -> int:
         lease_ttl=args.lease_ttl,
         retry_budget=args.retry_budget,
         name=args.name,
+        chaos=ChaosPlan(kill_prob=args.kill_prob),
     )
     co.start()
     print(

@@ -21,12 +21,18 @@ in flight for one submission is never leased again for another (the
 ``skip`` set); and a landing report completes the same hash in every
 other submission's queue (``dedup`` completions).
 
-Failure semantics are the supervisor's: an agent that dies (socket EOF,
-process exit, lease deadline) requeues its trials for free; a trial
-that *reports* failure consumes the per-submission retry budget and
-quarantines after ``retry_budget`` attempts.  Local agents that died to
-the ``REPRO_CHAOS_KILL`` hook are respawned with the hook defused, so
-injected kills prove recovery without livelocking the fleet.
+Failure semantics: an agent that dies requeues its trials for free; a
+trial that *reports* failure consumes the per-submission retry budget
+and quarantines after ``retry_budget`` attempts.  Two death detectors
+cover every agent: the socket EOF, and the lease deadline swept by the
+tick loop — which also SIGKILLs a wedged local agent (the watchdog) so
+its slot respawns.  A :class:`~repro.campaign.chaos.ChaosPlan` injects
+seeded kills into the local agents to prove all of this recovers.
+
+The coordinator is the only writer of the journals as well as of the
+store, so a restart is exact: a submission replays its journal, and
+:meth:`~repro.campaign.queue.LeaseQueue.recover` completes trials whose
+record landed, requeues orphaned leases and keeps earlier quarantines.
 
 The finished document (``fetch``) is assembled through
 :class:`~repro.campaign.executor.CampaignRun`, so it is byte-identical
@@ -36,7 +42,6 @@ to the same spec run via serial ``campaign run``.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import socket
 import threading
 import time
@@ -45,9 +50,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.chaos import POOL_KILL_ENV
+from repro.campaign.chaos import ChaosPlan, ChaosState
 from repro.campaign.executor import CampaignRun
-from repro.campaign.queue import Lease, LeaseQueue
+from repro.campaign.queue import LeaseQueue, journal_states
 from repro.campaign.spec import CampaignSpec, Trial
 from repro.campaign.telemetry import FleetTelemetry
 from repro.errors import LeaseExpired, ServiceError
@@ -180,12 +185,16 @@ class Coordinator:
         telemetry_interval: float = 0.5,
         trace_dir: Optional[str] = None,
         name: str = "service",
+        chaos: Optional[ChaosPlan] = None,
     ) -> None:
         #: ``store`` is a :class:`ResultCache`, a ``ResultStore``
         #: instance, or a directory path.  A string is always taken as
         #: a directory, never parsed as a store URL: open a URL first
-        #: with :meth:`ResultCache.open`.
-        self.cache = store if isinstance(store, ResultCache) else ResultCache(store)
+        #: with :meth:`ResultCache.open`.  A passed-in
+        #: :class:`ResultCache` stays open after :meth:`stop`; any other
+        #: backing is closed there.
+        self._owns_cache = not isinstance(store, ResultCache)
+        self.cache = ResultCache(store) if self._owns_cache else store
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.host = host
@@ -198,6 +207,8 @@ class Coordinator:
         self.poll = poll
         self.trace_dir = trace_dir
         self.name = name
+        #: Kill decisions for the local agents (None: no chaos).
+        self._chaos = ChaosState(chaos) if chaos is not None and chaos.armed else None
 
         self.metrics = MetricsRegistry()
         self.telemetry = FleetTelemetry(
@@ -229,8 +240,10 @@ class Coordinator:
 
         self._listener: Optional[socket.socket] = None
         self._threads: list[threading.Thread] = []
-        self._local_procs: list = []
-        self._local_deaths = 0
+        #: Local agent name (``local<slot>``) -> its current process.
+        self._local: dict[str, multiprocessing.Process] = {}
+        #: Local slot -> processes spawned for it (the incarnation).
+        self._spawns: dict[int, int] = {}
         self._stopping = False
         self._started = False
         self._t0 = 0.0
@@ -261,9 +274,9 @@ class Coordinator:
         )
         tick.start()
         self._threads += [accept, tick]
-        for i in range(self.local_workers):
-            self._spawn_local(i, defuse_chaos=False)
-        with self._lock:  # the tick thread also writes telemetry
+        with self._lock:  # the tick thread also spawns and writes telemetry
+            for i in range(self.local_workers):
+                self._spawn_local(i)
             self.telemetry.write()
         return self
 
@@ -280,7 +293,7 @@ class Coordinator:
             except OSError:
                 pass
         deadline = time.time() + 5.0
-        for proc in self._local_procs:
+        for proc in list(self._local.values()):
             proc.join(timeout=max(0.1, deadline - time.time()))
             if proc.is_alive():
                 proc.kill()
@@ -291,7 +304,8 @@ class Coordinator:
             (self.state_dir / ENDPOINT_FILE).unlink(missing_ok=True)
         except OSError:
             pass
-        self.cache.close()
+        if self._owns_cache:
+            self.cache.close()
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -310,36 +324,76 @@ class Coordinator:
         return (self.host, self.port)
 
     # ------------------------------------------------------------- local pool
-    def _spawn_local(self, slot: int, defuse_chaos: bool) -> None:
+    def _spawn_local(self, slot: int) -> None:
+        """Start (or restart) local agent slot ``slot``.  Caller holds
+        the lock, or the coordinator is not serving yet."""
         from repro.service.worker import _local_agent_main
 
+        incarnation = self._spawns[slot] = self._spawns.get(slot, 0) + 1
+        doomed = self._chaos is not None and self._chaos.spawn_kill(
+            slot, incarnation
+        )
+        if doomed:
+            self._log_chaos(slot=slot, incarnation=incarnation, point="spawn")
+        name = f"local{slot}"
         proc = self._ctx.Process(
             target=_local_agent_main,
-            args=(self.host, self.port, f"local{slot}", defuse_chaos,
-                  self.trace_dir),
+            args=(self.host, self.port, name, self.trace_dir, doomed),
             daemon=True,
-            name=f"service-local{slot}",
+            name=f"service-{name}",
         )
         proc.start()
         proc.slot = slot
-        self._local_procs.append(proc)
-        self.metrics.counter("service.agent_spawns").inc()
+        proc.worker_id = None  # set when it attaches
+        self._local[name] = proc
+        self.metrics.counter("campaign.worker_spawns").inc()
+
+    def _local_proc(self, worker_id: str):
+        """The live local process attached as ``worker_id``, if any."""
+        proc = self._local.get(worker_id.rpartition(".")[0])
+        if proc is None or proc.worker_id != worker_id:
+            return None
+        return proc
 
     def _reap_local(self) -> None:
-        """Respawn local agent slots whose process died.
+        """Count and respawn local agent slots whose process died.
 
-        A death here is almost always the ``REPRO_CHAOS_KILL`` hook (or
-        an OOM); the lease cleanup already happened via the socket EOF.
-        The respawn *defuses* the chaos hook in the child — the env
-        trigger fires on every attempt, so a respawned agent that still
-        honored it would die forever and livelock the fleet.
+        Covers SIGKILL (chaos, the watchdog, OOM) and any other exit;
+        the dead agent's leases were already settled by its socket EOF
+        or by the deadline sweep.
         """
-        dead = [p for p in self._local_procs if p.exitcode is not None]
-        for proc in dead:
-            self._local_procs.remove(proc)
-            self._local_deaths += 1
-            self.metrics.counter("service.local_agent_deaths").inc()
-            self._spawn_local(proc.slot, defuse_chaos=True)
+        for proc in list(self._local.values()):
+            if proc.exitcode is None:
+                continue
+            self.metrics.counter("campaign.worker_deaths").inc()
+            self._spawn_local(proc.slot)
+
+    def _watchdog(self, worker_id: str) -> None:
+        """SIGKILL the local agent that let a lease run past its
+        deadline; the reaper respawns its slot.  External agents cannot
+        be killed from here: their late report is dropped as stale."""
+        proc = self._local_proc(worker_id)
+        if proc is None or not proc.is_alive():
+            return
+        proc.kill()
+        proc.join(timeout=5.0)
+        self.metrics.counter("campaign.watchdog_kills").inc()
+
+    def _log_chaos(self, **fields) -> None:
+        """Journal an injected kill in every running submission."""
+        for sub in self._submissions.values():
+            if sub.state == "running":
+                sub.queue.log_chaos(**fields)
+
+    def _chaos_point(self, worker: str, sub: Submission, lease) -> Optional[str]:
+        """The kill a local agent must take with this lease, if any."""
+        if self._chaos is None or self._local_proc(worker) is None:
+            return None
+        point = self._chaos.kill_point(lease.trial, lease.attempt)
+        if point not in ("mid-trial", "hang"):
+            return None
+        sub.queue.log_chaos(hash=lease.trial, attempt=lease.attempt, point=point)
+        return point
 
     # ------------------------------------------------------------ accept/tick
     def _accept_loop(self) -> None:
@@ -354,8 +408,8 @@ class Coordinator:
             thread.start()
 
     def _tick_loop(self) -> None:
-        """Housekeeping: lease-deadline expiry, local-agent respawn,
-        telemetry rewrites.  Runs until stop."""
+        """Housekeeping: lease-deadline expiry and the watchdog,
+        local-agent respawn, telemetry rewrites.  Runs until stop."""
         while not self._stopping:
             now = time.time()
             with self._lock:
@@ -365,7 +419,8 @@ class Coordinator:
                     for h in sub.queue.expire(now):
                         self._inflight.pop(h, None)
                         self._dispatch_t.pop((sub.sub_id, h), None)
-                        self.metrics.counter("service.requeues").inc()
+                        self.metrics.counter("campaign.requeues").inc()
+                        self._watchdog(sub.queue.states[h].worker)
                 if not self._stopping:
                     self._reap_local()
                 self._refresh_gauges()
@@ -384,7 +439,7 @@ class Coordinator:
             m.gauge(f"service.client.{client}.queue_depth").set(n)
         m.gauge("service.submissions").set(len(self._submissions))
         m.gauge("service.inflight").set(len(self._inflight))
-        m.gauge("service.local_agents").set(len(self._local_procs))
+        m.gauge("service.local_agents").set(len(self._local))
 
     # ----------------------------------------------------------- connections
     def _serve_conn(self, conn: socket.socket) -> None:
@@ -421,6 +476,9 @@ class Coordinator:
             self._incarnations[name] = self._incarnations.get(name, 0) + 1
             worker_id = f"{name}.{self._incarnations[name]}"
             self._agent_leases[worker_id] = {}
+            proc = self._local.get(name)
+            if proc is not None:
+                proc.worker_id = worker_id
             self.metrics.counter("service.agent_attaches").inc()
         return worker_id
 
@@ -430,23 +488,23 @@ class Coordinator:
         Covers SIGKILLed local agents (chaos), crashed external
         workers, and network drops alike — the socket EOF *is* the
         death detector, with the lease deadline as the backstop for an
-        agent that wedges while keeping the socket open.
+        agent that wedges while keeping the socket open.  A local
+        agent's death is counted once, by the reaper.
         """
         with self._lock:
             leases = self._agent_leases.pop(worker_id, {})
-            if leases:
-                self.metrics.counter("service.agent_deaths").inc()
+            if leases and worker_id.rpartition(".")[0] not in self._local:
+                self.metrics.counter("campaign.worker_deaths").inc()
             for (sub_id, h), lease in leases.items():
+                try:
+                    self._submissions[sub_id].queue.requeue(
+                        lease, reason="agent-death"
+                    )
+                except LeaseExpired:
+                    continue  # the deadline sweep got there first
                 self._inflight.pop(h, None)
                 self._dispatch_t.pop((sub_id, h), None)
-                sub = self._submissions.get(sub_id)
-                if sub is None:
-                    continue
-                try:
-                    sub.queue.requeue(lease, reason="agent-death")
-                    self.metrics.counter("service.requeues").inc()
-                except LeaseExpired:
-                    pass  # deadline sweep got there first
+                self.metrics.counter("campaign.requeues").inc()
 
     # -------------------------------------------------------------- requests
     def _handle(self, msg: dict) -> dict:
@@ -482,14 +540,43 @@ class Coordinator:
             return {"type": "error", "error": f"{type(exc).__name__}: {exc}"}
 
     def _submit(self, msg: dict) -> dict:
-        priority = msg.get("priority", "bulk")
+        sub = self.submit(
+            CampaignSpec.from_dict(msg.get("spec")),
+            client=str(msg.get("client", "anon")),
+            priority=msg.get("priority", "bulk"),
+        )
+        return {
+            "type": "submitted",
+            "sub": sub.sub_id,
+            "trials": len(sub.trials),
+            "hits": sub.hits,
+            "pending": len(sub.queue.pending),
+        }
+
+    def submit(
+        self,
+        spec: CampaignSpec,
+        trials: Optional[list[Trial]] = None,
+        *,
+        client: str = "anon",
+        priority: str = "bulk",
+    ) -> Submission:
+        """Queue ``spec`` (or the explicit ``trials`` of it) as a new
+        submission; the wire ``submit`` request lands here too.
+
+        Every hash already in the shared store is a fleet-wide dedup
+        hit, served without a lease ever existing — unless this
+        submission's journal already knows the trial (a restarted
+        coordinator replaying an earlier incarnation's ``subs/<id>/``).
+        Those trials are reconciled from the journal instead: a record
+        that landed completes it, an orphaned lease is requeued, and an
+        earlier quarantine lands as its failed record.
+        """
         if priority not in PRIORITIES:
             raise ServiceError(
                 f"priority must be one of {PRIORITIES}, got {priority!r}"
             )
-        spec = CampaignSpec.from_dict(msg.get("spec"))
-        client = str(msg.get("client", "anon"))
-        trials = spec.trials()
+        trials = list(trials) if trials is not None else spec.trials()
         now = time.time()
         with self._lock:
             if self._stopping:
@@ -498,15 +585,14 @@ class Coordinator:
             sub_id = f"sub{self._sub_seq}"
             sub_dir = self.state_dir / "subs" / sub_id
             sub_dir.mkdir(parents=True, exist_ok=True)
-            # Store scan first: every hash already in the shared store
-            # is a fleet-wide dedup hit, served without a lease ever
-            # existing; only the rest enters the durable queue.
+            journal = sub_dir / "journal.jsonl"
+            known = journal_states(journal)
             records: dict[str, dict] = {}
             pending = []
             for trial in trials:
                 if trial.hash in records:
                     continue  # duplicate hash within one spec
-                hit = self.cache.get(trial.hash)
+                hit = None if trial.hash in known else self.cache.get(trial.hash)
                 if (
                     hit is not None
                     and hit.get("status") == "ok"
@@ -516,21 +602,25 @@ class Coordinator:
                     self.metrics.counter("service.store_hits").inc()
                 else:
                     pending.append(trial)
+            hits = len(records)
+            queue = LeaseQueue(
+                journal,
+                [t.hash for t in pending],
+                retry_budget=self.retry_budget,
+                backoff_base=self.backoff_base,
+                name=f"{spec.name}/{sub_id}",
+                metrics=self.metrics,
+            )
+            if known:
+                records.update(self._reconcile(queue, pending))
             sub = Submission(
                 sub_id=sub_id, client=client, priority=priority, spec=spec,
                 trials=trials, created=now,
-                records=records, hits=len(records),
+                records=records, hits=hits,
                 configs={t.hash: t.config for t in trials},
-                queue=LeaseQueue(
-                    sub_dir / "journal.jsonl",
-                    [t.hash for t in pending],
-                    retry_budget=self.retry_budget,
-                    backoff_base=self.backoff_base,
-                    name=f"{spec.name}/{sub_id}",
-                    metrics=self.metrics,
-                ),
+                queue=queue,
             )
-            if sub.hits and sub.first_result_t is None:
+            if sub.records and sub.first_result_t is None:
                 sub.first_result_t = now
                 self.metrics.histogram(
                     "wall.service.first_result_seconds"
@@ -539,13 +629,38 @@ class Coordinator:
             self.metrics.counter("service.submits").inc()
             self.metrics.counter(f"service.submits.{priority}").inc()
             self._maybe_settle(sub)
-            return {
-                "type": "submitted",
-                "sub": sub_id,
-                "trials": len(trials),
-                "hits": sub.hits,
-                "pending": len(pending),
-            }
+            return sub
+
+    def _reconcile(self, queue: LeaseQueue, trials: list[Trial]) -> dict:
+        """Settle a replayed journal against the store; returns the
+        records of the trials it already finished."""
+        def has_result(h: str) -> bool:
+            hit = self.cache.get(h)
+            return hit is not None and hit.get("status") == "ok"
+
+        requeued = queue.recover(has_result)["requeued"]
+        if requeued:
+            self.metrics.counter("campaign.requeues").inc(requeued)
+        records = {}
+        for trial in trials:
+            state = queue.states[trial.hash]
+            if state.status == "done":
+                records[trial.hash] = {**self.cache.get(trial.hash),
+                                       "cached": False}
+            elif state.status == "quarantined":
+                # The record a live final attempt would have reported.
+                records[trial.hash] = {
+                    "hash": trial.hash,
+                    "config": trial.config,
+                    "seed": trial.config.get("seed"),
+                    "status": "failed",
+                    "primary": None,
+                    "metrics": None,
+                    "error": state.error or f"TrialQuarantined: "
+                    f"{self.retry_budget} failed attempt(s)",
+                    "cached": False,
+                }
+        return records
 
     def _status(self, msg: dict) -> dict:
         with self._lock:
@@ -582,7 +697,7 @@ class Coordinator:
                     "submission": sub.status(),
                 }
             return {"type": "document", "sub": sub.sub_id,
-                    "doc": self._document(sub)}
+                    "doc": self.campaign_run(sub.sub_id).document()}
 
     def _cancel(self, msg: dict) -> dict:
         with self._lock:
@@ -625,8 +740,8 @@ class Coordinator:
                     self._agent_leases[worker][(sub.sub_id, lease.trial)] = lease
                     self._dispatch_t[(sub.sub_id, lease.trial)] = now
                     self.dispatch_log.append((worker, sub.sub_id, lease.trial))
-                    self.metrics.counter("service.leases").inc()
-                    return {
+                    self.metrics.counter("campaign.leases").inc()
+                    reply = {
                         "type": "trial",
                         "sub": sub.sub_id,
                         "hash": lease.trial,
@@ -634,6 +749,10 @@ class Coordinator:
                         "attempt": lease.attempt,
                         "token": lease.token,
                     }
+                    kill = self._chaos_point(worker, sub, lease)
+                    if kill is not None:
+                        reply["kill"] = kill
+                    return reply
             return {"type": "idle"}
 
     def _report(self, msg: dict) -> dict:
@@ -675,9 +794,9 @@ class Coordinator:
                     )
                 except LeaseExpired:
                     return {"type": "ack", "stale": True}
-                self.metrics.counter("service.trial_failures").inc()
+                self.metrics.counter("campaign.trial_failures").inc()
                 if outcome == "quarantined":
-                    self.metrics.counter("service.quarantines").inc()
+                    self.metrics.counter("campaign.quarantines").inc()
                     self._land(sub, h, {**record, "cached": False}, now)
             return {"type": "ack"}
 
@@ -711,17 +830,19 @@ class Coordinator:
                                    if k != "cached"}, "cached": True}, now)
 
     # -------------------------------------------------------------- document
-    def _document(self, sub: Submission) -> dict:
-        """The finished campaign JSON — via :class:`CampaignRun`, so it
-        is byte-identical to serial ``campaign run`` of the same spec."""
-        records = [sub.records[t.hash] for t in sub.trials]
-        run = CampaignRun(
-            spec=sub.spec,
-            trials=sub.trials,
-            records=records,
-            quarantined=sub.queue.quarantined,
-        )
-        return run.document()
+    def campaign_run(self, sub_id: str) -> CampaignRun:
+        """A settled submission as a :class:`CampaignRun` (with the
+        fleet counters); its document is byte-identical to serial
+        ``campaign run`` of the same spec."""
+        with self._lock:
+            sub = self._require_sub(sub_id)
+            return CampaignRun(
+                spec=sub.spec,
+                trials=sub.trials,
+                records=[sub.records[t.hash] for t in sub.trials],
+                quarantined=sub.queue.quarantined,
+                fleet=self.metrics.snapshot(),
+            )
 
     # ------------------------------------------------------------ test hooks
     def pause(self) -> None:

@@ -9,8 +9,12 @@ trial), ``report`` (return the record) — and executes trials through
 :func:`repro.campaign.executor.run_trial`, which never raises: a
 deterministic failure travels back as a ``status: "failed"`` record
 and consumes the submission's retry budget, while an agent that *dies*
-(chaos SIGKILL, OOM) just drops its socket, which the coordinator
-treats as the death notice and requeues for free.
+(SIGKILL, OOM) just drops its socket, which the coordinator treats as
+the death notice and requeues for free.  A local agent of a
+coordinator running a chaos plan may be told to die with a trial
+(``"kill"`` in the dispatch): ``mid-trial`` SIGKILLs it before the
+trial runs, ``hang`` sleeps with the socket open until the lease
+watchdog kills it.
 
 Agents never touch the result store; the coordinator is its sole
 writer.  That keeps the agent a pure function from config to record —
@@ -20,10 +24,10 @@ attachable from any process that can reach the socket.
 from __future__ import annotations
 
 import os
+import signal
 import time
 from typing import Optional
 
-from repro.campaign.chaos import POOL_KILL_ENV
 from repro.campaign.executor import run_trial
 from repro.errors import ServiceError
 from repro.service.protocol import connect
@@ -36,7 +40,6 @@ def agent_loop(
     port: int,
     name: str = "agent",
     *,
-    defuse_chaos: bool = False,
     poll: float = 0.05,
     trace_dir: Optional[str] = None,
     max_trials: Optional[int] = None,
@@ -44,15 +47,10 @@ def agent_loop(
 ) -> int:
     """Attach to a coordinator and pull trials until told to stop.
 
-    Returns the number of trials executed.  ``defuse_chaos`` strips the
-    ``REPRO_CHAOS_KILL`` trigger from this process — the coordinator
-    sets it when respawning a slot the hook already killed, so injected
-    deaths happen exactly once per slot instead of forever.
-    ``max_trials`` / ``max_wall`` bound the loop for tests and for
-    batch-style external agents.
+    Returns the number of trials executed.  ``max_trials`` /
+    ``max_wall`` bound the loop for tests and for batch-style external
+    agents.
     """
-    if defuse_chaos:
-        os.environ.pop(POOL_KILL_ENV, None)
     ran = 0
     with connect(host, port, timeout=30.0) as conn:
         conn.sock.settimeout(None)  # "next" replies may wait on the coordinator
@@ -76,6 +74,8 @@ def agent_loop(
                 continue
             if msg["type"] != "trial":
                 raise ServiceError(f"unexpected dispatch reply: {msg!r}")
+            if "kill" in msg:
+                _die(msg["kill"])
             record = run_trial(msg["config"], trace_dir)
             conn.send({
                 "type": "report",
@@ -93,16 +93,22 @@ def agent_loop(
     return ran
 
 
+def _die(point: str) -> None:
+    """Take an injected kill: SIGKILL now, or hang until killed."""
+    if point == "hang":
+        time.sleep(3600.0)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _local_agent_main(
-    host: str, port: int, name: str, defuse_chaos: bool,
-    trace_dir: Optional[str],
+    host: str, port: int, name: str, trace_dir: Optional[str], doomed: bool,
 ) -> None:
-    """Process target for coordinator-spawned local agents."""
+    """Process target for coordinator-spawned local agents; a
+    ``doomed`` incarnation takes the chaos plan's spawn kill."""
+    if doomed:
+        _die("spawn")
     try:
-        agent_loop(
-            host, port, name,
-            defuse_chaos=defuse_chaos, trace_dir=trace_dir,
-        )
+        agent_loop(host, port, name, trace_dir=trace_dir)
     except ServiceError:
         # The coordinator went away (shutdown race); nothing to clean
         # up — our leases requeue via the dropped socket.

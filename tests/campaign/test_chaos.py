@@ -12,10 +12,11 @@ from repro.campaign import (
     ResultCache,
     canonical_json,
     run_campaign,
-    run_chaos_check,
-    run_supervised,
+    run_trial,
 )
+from repro.campaign.queue import append_event, journal_counters
 from repro.errors import CampaignError
+from repro.service import run_chaos_check, run_supervised
 from repro.units import KiB
 
 SPEC = CampaignSpec(
@@ -64,10 +65,10 @@ def test_kill_decisions_are_deterministic_and_bounded():
 
 
 def test_forced_kills_fire_regardless_of_probability():
-    plan = ChaosPlan(kill_prob=0.0, forced=(("aa" * 8, 2, "store-write"),))
+    plan = ChaosPlan(kill_prob=0.0, forced=(("aa" * 8, 2, "hang"),))
     state = ChaosState(plan)
     assert state.kill_point("aa" * 8, 1) is None
-    assert state.kill_point("aa" * 8, 2) == "store-write"
+    assert state.kill_point("aa" * 8, 2) == "hang"
     assert state.kill_point("bb" * 8, 2) is None
     assert state.kills_injected == 1
 
@@ -89,22 +90,18 @@ def _chaos_run(tmp_path, point, **kwargs):
     )
 
 
-@pytest.mark.parametrize("point", ["mid-trial", "store-write", "journal-append"])
+@pytest.mark.parametrize("point", ["mid-trial"])
 def test_kill_point_recovers_byte_identical(tmp_path, point):
     run = _chaos_run(tmp_path, point)
     assert run.fleet["campaign.worker_deaths"] == 1
     assert canonical_json(run.document()) == canonical_json(
         run_campaign(SPEC).document()
     )
-    journal = (tmp_path / "state" / "journal.jsonl").read_text()
+    journal = (tmp_path / "state" / "subs" / "sub1" / "journal.jsonl").read_text()
     assert f'"point":"{point}"' in journal
     if point == "mid-trial":
         # Nothing landed before death: the lease must be requeued.
         assert run.fleet["campaign.requeues"] == 1
-    if point == "journal-append":
-        # The store write landed; recovery completes from the store and
-        # the torn half-line is healed, not fatal.
-        assert run.fleet["campaign.requeues"] == 0
 
 
 def test_spawn_kill_point_respawns_and_recovers(tmp_path):
@@ -117,16 +114,64 @@ def test_spawn_kill_point_respawns_and_recovers(tmp_path):
     # the kill bound, survived, and drained the queue exactly.
     assert run.fleet["campaign.worker_deaths"] >= 1
     assert run.fleet["campaign.worker_spawns"] >= 2
-    journal = (tmp_path / "state" / "journal.jsonl").read_text()
+    journal = (tmp_path / "state" / "subs" / "sub1" / "journal.jsonl").read_text()
     assert '"point":"spawn"' in journal
     assert canonical_json(run.document()) == canonical_json(
         run_campaign(SPEC).document()
     )
 
 
+@pytest.mark.parametrize("window", ["torn-store-record", "torn-journal-tail"])
+def test_writer_crash_window_resumes_byte_identical(tmp_path, window):
+    """The coordinator, the only store and journal writer, died inside
+    a write; resuming on the same state dir must recover exactly.
+
+    * ``torn-store-record``: a lease was granted and half the record
+      sits at the store's final path (a non-atomic store lost power).
+      The store self-heals the fragment and the trial re-runs.
+    * ``torn-journal-tail``: the record landed, then half a
+      ``complete`` line.  Replay skips the fragment and completes the
+      trial from the store without re-running it.
+    """
+    trial = SPEC.trials()[0]
+    state = tmp_path / "state"
+    journal = state / "subs" / "sub1" / "journal.jsonl"
+    journal.parent.mkdir(parents=True)
+    cache = ResultCache(tmp_path / "results")
+    append_event(journal, {
+        "ev": "lease", "hash": trial.hash, "worker": "local0.1",
+        "attempt": 1, "token": 1, "deadline": 1e12,
+    })
+    record = run_trial(trial.config)
+    if window == "torn-store-record":
+        text = canonical_json(record)
+        cache.path(trial.hash).write_text(text[: len(text) // 2])
+    else:
+        cache.put(trial.hash, record)
+        complete = canonical_json({
+            "ev": "complete", "hash": trial.hash, "worker": "local0.1",
+            "attempt": 1, "token": 1,
+        })
+        with open(journal, "a") as fh:
+            fh.write(complete[: len(complete) // 2])
+    run = run_supervised(
+        SPEC, cache=cache, state_dir=state, workers=1, **FAST,
+    )
+    assert canonical_json(run.document()) == canonical_json(
+        run_campaign(SPEC).document()
+    )
+    if window == "torn-store-record":
+        assert cache.corrupt_healed == 1
+        assert run.fleet["campaign.requeues"] == 1
+    else:
+        assert journal_counters(journal)["torn_lines"] == 1
+        assert run.fleet.get("campaign.requeues", 0) == 0
+        assert run.fleet["campaign.leases"] == 1  # only the other trial ran
+
+
 def test_hang_point_is_reclaimed_by_the_lease_deadline(tmp_path):
     run = _chaos_run(tmp_path, "hang", lease_ttl=1.0, max_wall=60.0)
-    # The hung worker kept heartbeating: only the watchdog could kill it.
+    # The hung agent kept its socket open: only the watchdog could kill it.
     assert run.fleet["campaign.watchdog_kills"] == 1
     assert run.fleet["campaign.requeues"] == 1
     assert canonical_json(run.document()) == canonical_json(

@@ -10,11 +10,10 @@ from repro.campaign import (
     Trial,
     canonical_json,
     run_campaign,
-    run_supervised,
 )
 from repro.campaign.queue import append_event
-from repro.campaign.supervisor import FleetConfig
 from repro.errors import CampaignError, TrialQuarantined
+from repro.service import run_supervised
 from repro.units import KiB
 
 SPEC = CampaignSpec(
@@ -29,7 +28,8 @@ FAST = dict(backoff_base=0.01, retry_budget=2)
 
 def journal_events(state_dir, kind, hash_=None):
     events = []
-    for line in (state_dir / "journal.jsonl").read_text().splitlines():
+    journal = state_dir / "subs" / "sub1" / "journal.jsonl"
+    for line in journal.read_text().splitlines():
         try:
             event = json.loads(line)
         except json.JSONDecodeError:
@@ -95,9 +95,9 @@ def test_resume_after_supervisor_crash_requeues_dead_leases(tmp_path):
     """A journal full of orphaned leases (the supervisor itself died)
     must drain to the same document as an undisturbed run."""
     state_dir = tmp_path / "state"
-    state_dir.mkdir()
+    (state_dir / "subs" / "sub1").mkdir(parents=True)
     for i, trial in enumerate(SPEC.trials()):
-        append_event(state_dir / "journal.jsonl", {
+        append_event(state_dir / "subs" / "sub1" / "journal.jsonl", {
             "ev": "lease", "hash": trial.hash, "worker": f"w{i}.1",
             "attempt": 1, "token": i + 1, "deadline": 1e12,
         })
@@ -115,8 +115,8 @@ def test_resume_honours_prior_quarantine_without_rerunning(tmp_path):
     good = SPEC.trials()[0]
     bad = Trial(config={**good.config, "pair": [0, 99]})
     state_dir = tmp_path / "state"
-    state_dir.mkdir()
-    append_event(state_dir / "journal.jsonl", {
+    (state_dir / "subs" / "sub1").mkdir(parents=True)
+    append_event(state_dir / "subs" / "sub1" / "journal.jsonl", {
         "ev": "quarantine", "hash": bad.hash, "attempts": 2,
         "error": "MpiError: rank 99 does not exist",
     })
@@ -136,11 +136,13 @@ def test_supervised_requires_a_cache(tmp_path):
         run_supervised(SPEC, cache=None, state_dir=tmp_path / "state")
 
 
-def test_fleet_config_validates():
+def test_run_supervised_validates_fleet_options(tmp_path):
+    cache = ResultCache(tmp_path / "results")
     with pytest.raises(CampaignError):
-        FleetConfig(workers=0)
+        run_supervised(SPEC, cache=cache, state_dir=tmp_path / "s", workers=0)
     with pytest.raises(CampaignError):
-        FleetConfig(lease_ttl=0.0)
+        run_supervised(SPEC, cache=cache, state_dir=tmp_path / "s",
+                       lease_ttl=0.0)
 
 
 def test_max_wall_turns_stall_into_error(tmp_path):

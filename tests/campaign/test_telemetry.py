@@ -4,15 +4,16 @@ import json
 
 from repro.campaign import (
     CampaignSpec,
+    ChaosPlan,
     ResultCache,
     format_status,
     load_status,
     prometheus_lines,
-    run_supervised,
 )
 from repro.campaign.queue import LeaseQueue
 from repro.campaign.telemetry import FleetTelemetry, histogram_summary
 from repro.obs import MetricsRegistry
+from repro.service import run_supervised
 from repro.units import KiB
 
 SPEC = CampaignSpec(
@@ -164,3 +165,17 @@ def test_resume_telemetry_shows_full_cache_hits(tmp_path):
     assert doc["cache"]["hits"] == 1
     assert doc["cache"]["misses"] == 0
     assert doc["cache"]["hit_rate"] == 1.0
+
+
+def test_fleet_report_shows_coordinator_requeues(tmp_path):
+    """``campaign report --fleet`` reads the coordinator's fleet
+    counters: an agent death surfaces as ``campaign.requeues``."""
+    state = tmp_path / "state"
+    plan = ChaosPlan(forced=((SPEC.trials()[0].hash, 1, "mid-trial"),))
+    run_supervised(
+        SPEC, cache=ResultCache(tmp_path / "results"),
+        state_dir=state, workers=1, chaos=plan, **FAST,
+    )
+    text = format_status(load_status(state))
+    assert "campaign.requeues = 1" in text
+    assert "campaign.worker_deaths = 1" in text

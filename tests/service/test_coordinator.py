@@ -6,11 +6,13 @@ writer (agents report records over the wire), so the memory backing
 exercises exactly the code paths a fleet-shared store does.
 """
 
+import json
 import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, canonical_json, run_campaign
+from repro.campaign import CampaignSpec, ChaosPlan, canonical_json, run_campaign
+from repro.campaign.queue import append_event
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
@@ -244,3 +246,75 @@ def test_telemetry_files_written(co):
     assert (state / "metrics.prom").exists()
     prom = (state / "metrics.prom").read_text()
     assert "service_submits" in prom.replace(".", "_") or "service" in prom
+
+
+def _journal_events(journal, kind, h):
+    events = []
+    for line in journal.read_text().splitlines():
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if event.get("ev") == kind and event.get("hash") == h:
+            events.append(event)
+    return events
+
+
+def test_restart_resumes_from_journal(tmp_path):
+    """A restarted coordinator replays its submission's journal: an
+    earlier quarantine lands as the failed record without a new lease,
+    and an orphaned lease is requeued at submit instead of waiting out
+    its deadline."""
+    mixed = CampaignSpec(
+        name="svc", backends=("default",), sizes=(64 * KiB,),
+        pairs=((0, 1), (0, 99)), seeds=(0,),  # core 99 does not exist
+    )
+    good, bad = mixed.trials()
+    bad_only = CampaignSpec(
+        name="svc", backends=("default",), sizes=(64 * KiB,),
+        pairs=((0, 99),), seeds=(0,),
+    )
+    state, store = tmp_path / "state", str(tmp_path / "results")
+    opts = {**FAST, "local_workers": 1, "retry_budget": 1}
+    with Coordinator(store, state, **opts) as co:
+        reply = client_for(co).submit(bad_only)
+        co.wait_settled(reply["sub"])
+        assert client_for(co).status(reply["sub"])["quarantined"] == 1
+    journal = state / "subs" / "sub1" / "journal.jsonl"
+    append_event(journal, {
+        "ev": "lease", "hash": good.hash, "worker": "local0.1",
+        "attempt": 1, "token": 99, "deadline": 1e12,
+    })
+
+    with Coordinator(store, state, **opts) as co:
+        client = client_for(co)
+        reply = client.submit(mixed)
+        assert reply["sub"] == "sub1"  # replays the same journal
+        requeues = _journal_events(journal, "requeue", good.hash)
+        assert [e["reason"] for e in requeues] == ["recovered"]
+        co.wait_settled(reply["sub"], timeout=20)
+        doc = client.fetch(reply["sub"])
+    assert len(_journal_events(journal, "lease", bad.hash)) == 1
+    assert doc["quarantined"] == [bad.hash]
+    ok, failed = doc["trials"]
+    assert failed["status"] == "failed" and "MpiError" in failed["error"]
+    serial = run_campaign(mixed).document()
+    assert canonical_json(ok) == canonical_json(serial["trials"][0])
+    assert failed == serial["trials"][1]
+
+
+def test_watchdog_kills_a_hung_local_agent(tmp_path):
+    """A local agent that hangs holding a lease is SIGKILLed when the
+    lease deadline passes, and its slot respawns to finish the work."""
+    h = SPEC.trials()[0].hash
+    plan = ChaosPlan(forced=((h, 1, "hang"),))
+    opts = {**FAST, "local_workers": 1, "lease_ttl": 1.0}
+    with Coordinator(MemoryStore(), tmp_path / "state", chaos=plan,
+                     **opts) as co:
+        client = client_for(co)
+        reply = client.submit(SPEC)
+        co.wait_settled(reply["sub"], timeout=20)
+        assert co.metrics.counter("campaign.watchdog_kills").value == 1
+        assert co.metrics.counter("campaign.requeues").value == 1
+        doc = client.fetch(reply["sub"])
+    assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())

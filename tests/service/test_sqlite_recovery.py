@@ -17,9 +17,9 @@ from repro.campaign import (
     ResultCache,
     canonical_json,
     run_campaign,
-    run_supervised,
 )
 from repro.errors import BenchmarkError
+from repro.service import run_supervised
 from repro.service.stores import SqliteStore
 from repro.units import KiB
 
@@ -89,9 +89,10 @@ def test_supervised_campaign_recovers_from_torn_sqlite_store(tmp_path):
     )
     assert store.rebuilt >= 1
     # Journal replay requeued the lost trials (store-missing events).
+    journal = state / "subs" / "sub1" / "journal.jsonl"
     requeues = [
         json.loads(line)
-        for line in (state / "journal.jsonl").read_text().splitlines()
+        for line in journal.read_text().splitlines()
         if json.loads(line).get("ev") == "requeue"
         and json.loads(line).get("reason") == "store-missing"
     ]

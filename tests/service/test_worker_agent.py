@@ -5,8 +5,7 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, canonical_json, run_campaign
-from repro.campaign.chaos import POOL_KILL_ENV
+from repro.campaign import CampaignSpec, ChaosPlan, canonical_json, run_campaign
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
 from repro.service.protocol import connect
@@ -94,31 +93,30 @@ def test_agent_max_trials_detaches_cleanly(tmp_path):
         co.stop()
 
 
-def test_chaos_killed_local_agents_requeue_and_recover(tmp_path, monkeypatch):
+def test_chaos_killed_local_agents_requeue_and_recover(tmp_path):
     """The acceptance scenario: injected worker death mid-campaign.
 
-    Every trial hash matches the kill list, so each local agent is
-    SIGKILLed by ``run_trial``'s chaos hook on its first dispatch.  The
-    dropped socket requeues the lease, the tick loop respawns the slot
-    with the hook *defused*, and the campaign completes with a document
-    byte-identical to a serial run — deaths are invisible in the
-    science.
+    The chaos plan kills every trial's first attempt, so each local
+    agent is SIGKILLed mid-trial on its first dispatch.  The dropped
+    socket requeues the lease, the tick loop respawns the slot, and the
+    campaign completes with a document byte-identical to a serial run
+    — deaths are invisible in the science.
     """
-    monkeypatch.setenv(POOL_KILL_ENV, ",".join("0123456789abcdef"))
+    plan = ChaosPlan(kill_prob=1.0, max_kill_attempts=1)
     with Coordinator(
-        MemoryStore(), tmp_path / "state", local_workers=2, **FAST
+        MemoryStore(), tmp_path / "state", local_workers=2, chaos=plan,
+        **FAST,
     ) as co:
         client = ServiceClient(co.endpoint)
         reply = client.submit(SPEC)
         co.wait_settled(reply["sub"], timeout=120)
 
-        assert co.metrics.counter("service.requeues").value >= 1
-        assert co.metrics.counter("service.local_agent_deaths").value >= 1
-        assert co.metrics.counter("service.agent_deaths").value >= 1
+        assert co.metrics.counter("campaign.requeues").value >= 1
+        assert co.metrics.counter("campaign.worker_deaths").value >= 1
         doc = client.fetch(reply["sub"])
         assert doc["summary"]["quarantined"] == 0
     # The chaos detour never reaches the document: byte-identical to a
-    # serial, chaos-free campaign run (compared outside the env patch).
+    # serial, chaos-free campaign run.
     assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
 
 
