@@ -15,13 +15,19 @@ subtle case of sweeps that evict their own earlier lines).
 Within one extent, recency ascends with address (the convention induced
 by ascending-order sweeps): the highest-addressed line is the most
 recently used of the extent.  Stack-adjacent extents that continue each
-other in address are merged — the merged extent has identical per-line
-depths, so coalescing is exactness-preserving and keeps the extent
-count near the number of *distinct live regions*, not chunks.
+other in address can be merged — the merged extent has identical
+per-line depths, so coalescing is exactness-preserving.  An access
+merges its new top band with the old top of the stack, which keeps the
+extent count near the number of *distinct live regions*, not chunks.
 
-Storage is three parallel NumPy arrays in MRU-to-LRU order
-(``_starts``, ``_ends``, ``_dirty``); every operation is a bulk array
-rebuild, so cost scales with the number of extents at NumPy constants.
+Storage is a Python list of extent records, LRU first, plus an address
+index: the sorted list of extent starts and a ``start -> record`` dict,
+kept current with :mod:`bisect` on every cut, split, merge and trim.
+Each operation finds the extents overlapping its range in
+O(log n + k) and touches only those.  An ``access`` that overlaps
+nothing is a push, a merge with the old top and a trim from the bottom;
+only an access with hits walks the stack, to find the depth of the
+extents it hits.
 
 Addresses here are **line numbers**, not bytes; callers divide by the
 line size.  ``dirty`` tracking enables write-back accounting (evicted
@@ -30,17 +36,13 @@ dirty lines become bus traffic in :mod:`repro.hw.coherence`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Iterator
 
 from repro.errors import HardwareError
 
 __all__ = ["AccessResult", "ExtentLRUCache", "Extent"]
-
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_B = np.empty(0, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,17 @@ class Extent:
         return f"Extent[{self.start},{self.end}){flag}"
 
 
+class _Rec:
+    """One mutable stack entry: lines [start, end)."""
+
+    __slots__ = ("start", "end", "dirty")
+
+    def __init__(self, start: int, end: int, dirty: bool) -> None:
+        self.start = start
+        self.end = end
+        self.dirty = dirty
+
+
 class ExtentLRUCache:
     """Fully-associative LRU cache over line extents.
 
@@ -88,10 +101,9 @@ class ExtentLRUCache:
             raise HardwareError(f"cache capacity must be positive: {capacity_lines}")
         self.capacity = capacity_lines
         self.name = name
-        # MRU first; pairwise disjoint in address.
-        self._starts = _EMPTY_I
-        self._ends = _EMPTY_I
-        self._dirty = _EMPTY_B
+        self._stack: list[_Rec] = []  # LRU first; pairwise disjoint in address
+        self._starts: list[int] = []  # sorted extent starts
+        self._by_start: dict[int, _Rec] = {}
         self._lines = 0
 
     # ------------------------------------------------------------- util
@@ -100,65 +112,114 @@ class ExtentLRUCache:
         return self._lines
 
     def __contains__(self, line: int) -> bool:
-        return bool(np.any((self._starts <= line) & (line < self._ends)))
+        i = bisect_right(self._starts, line) - 1
+        return i >= 0 and line < self._by_start[self._starts[i]].end
 
     def iter_extents(self) -> Iterator[Extent]:
         """MRU-to-LRU iteration (for tests and debugging)."""
-        for s, e, d in zip(
-            self._starts.tolist(), self._ends.tolist(), self._dirty.tolist()
-        ):
-            yield Extent(s, e, d)
+        for r in reversed(self._stack):
+            yield Extent(r.start, r.end, r.dirty)
 
     def resident_lines(self, start: int, end: int) -> int:
         """How many lines of [start, end) are currently resident."""
-        if start >= end or not len(self._starts):
+        if start >= end:
             return 0
-        lo = np.maximum(self._starts, start)
-        hi = np.minimum(self._ends, end)
-        return int(np.maximum(hi - lo, 0).sum())
+        return sum(
+            min(r.end, end) - max(r.start, start)
+            for r in self._recs(*self._span(start, end))
+        )
 
     def flush(self) -> int:
         """Drop everything; returns the number of dirty lines flushed."""
-        dirty = int(((self._ends - self._starts) * self._dirty).sum())
-        self._set(_EMPTY_I, _EMPTY_I, _EMPTY_B)
+        dirty = sum(r.end - r.start for r in self._stack if r.dirty)
+        self._stack = []
+        self._starts = []
+        self._by_start = {}
+        self._lines = 0
         return dirty
 
-    def _set(self, starts, ends, dirty) -> None:
-        self._starts = starts
-        self._ends = ends
-        self._dirty = dirty
-        self._lines = int((ends - starts).sum())
-
     def _check(self) -> None:
-        """Invariant check used by tests (disjointness, capacity, count)."""
-        order = np.argsort(self._starts)
-        s = self._starts[order]
-        e = self._ends[order]
-        if np.any(s >= e):
+        """Invariant check used by tests: disjointness, capacity, line
+        count, and an address index that matches the stack exactly."""
+        recs = sorted(self._stack, key=lambda r: r.start)
+        if any(r.start >= r.end for r in recs):
             raise HardwareError(f"{self.name}: empty extent present")
-        if np.any(s[1:] < e[:-1]):
+        if any(b.start < a.end for a, b in zip(recs, recs[1:])):
             raise HardwareError(f"{self.name}: overlapping extents")
-        total = int((self._ends - self._starts).sum())
+        total = sum(r.end - r.start for r in recs)
         if total != self._lines:
             raise HardwareError(f"{self.name}: line count drift {total} != {self._lines}")
         if total > self.capacity:
             raise HardwareError(f"{self.name}: over capacity {total} > {self.capacity}")
+        if self._starts != [r.start for r in recs]:
+            raise HardwareError(f"{self.name}: start index out of step with the stack")
+        if len(self._by_start) != len(recs) or any(
+            self._by_start.get(r.start) is not r for r in recs
+        ):
+            raise HardwareError(f"{self.name}: stale or missing address-index entry")
+
+    def _span(self, start: int, end: int) -> tuple[int, int]:
+        """Slice [i, j) of ``_starts`` whose extents overlap [start, end)."""
+        starts = self._starts
+        i = bisect_right(starts, start) - 1
+        if i < 0 or self._by_start[starts[i]].end <= start:
+            i += 1
+        return i, bisect_left(starts, end, i)
+
+    def _recs(self, i: int, j: int) -> list[_Rec]:
+        """The extents of ``_starts[i:j]``, in address order."""
+        by_start = self._by_start
+        return [by_start[s] for s in self._starts[i:j]]
+
+    def _cut(self, start: int, end: int, i: int, j: int) -> tuple[int, int]:
+        """Drop [start, end) from the extents in ``_starts[i:j]``, keeping
+        stack order; returns (resident_lines, dirty_lines) dropped.
+
+        Fully-covered extents disappear; the (at most two) partially
+        covered ones are replaced in place by their outside pieces, the
+        higher-address piece above (it is the more recent one).
+        """
+        stack, by_start = self._stack, self._by_start
+        keys = []
+        resident = dirty_lines = 0
+        for s in self._starts[i:j]:
+            r = by_start.pop(s)
+            n = min(r.end, end) - max(s, start)
+            resident += n
+            if r.dirty:
+                dirty_lines += n
+            if s < start:
+                keys.append(s)
+                if r.end > end:
+                    high = _Rec(end, r.end, r.dirty)
+                    stack.insert(stack.index(r) + 1, high)
+                    keys.append(end)
+                    by_start[end] = high
+                r.end = start
+                by_start[s] = r
+            elif r.end > end:
+                r.start = end
+                keys.append(end)
+                by_start[end] = r
+            else:
+                stack.remove(r)
+        self._starts[i:j] = keys
+        self._lines -= resident
+        return resident, dirty_lines
 
     # ------------------------------------------------------------ peek
     def peek(self, start: int, end: int) -> list[tuple[int, int, bool]]:
         """Resident overlaps of [start, end) as (start, end, dirty),
         in address order, without touching LRU state (a snoop probe).
         Address-adjacent same-dirty segments are merged."""
-        if start >= end or not len(self._starts):
+        if start >= end:
             return []
-        lo = np.maximum(self._starts, start)
-        hi = np.minimum(self._ends, end)
-        mask = lo < hi
-        if not mask.any():
+        i, j = self._span(start, end)
+        if i == j:
             return []
-        raw = sorted(zip(lo[mask].tolist(), hi[mask].tolist(), self._dirty[mask].tolist()))
         out: list[tuple[int, int, bool]] = []
-        for a, b, dirty in raw:
+        for r in self._recs(i, j):
+            a, b, dirty = max(r.start, start), min(r.end, end), r.dirty
             if out and out[-1][1] == a and out[-1][2] == dirty:
                 out[-1] = (out[-1][0], b, dirty)
             else:
@@ -175,219 +236,169 @@ class ExtentLRUCache:
         if start >= end:
             return AccessResult(0, 0, 0)
         cap = self.capacity
-        starts, ends, dirty = self._starts, self._ends, self._dirty
-        n = len(starts)
-
-        # -- 1. resident runs of R with the depth of their first line
-        if n:
-            lo = np.maximum(starts, start)
-            hi = np.minimum(ends, end)
-            ov = lo < hi
-        else:
-            ov = _EMPTY_B
-        hits = 0
-        misses = 0
-        wb_self = 0
+        i, j = self._span(start, end)
+        if i == j:  # all miss: push, merge with the old top, trim
+            self._push([(start, end, write)], i)
+            wb = self._trim() if self._lines > cap else 0
+            return AccessResult(0, end - start, wb)
+        recs = self._recs(i, j)
+        # -- 1. depth of each hit extent: lines above it in the stack
+        above: dict[int, int] = {id(r): -1 for r in recs}
+        todo = len(recs)
+        depth = 0
+        for r in reversed(self._stack):
+            if id(r) in above:
+                above[id(r)] = depth
+                todo -= 1
+                if not todo:
+                    break
+            depth += r.end - r.start
+        # -- 2. sweep in address order, deciding survival per run.
+        # Line x in [a, b) has pre-sweep depth d(x) = depth_a-(x-a)
+        # and survives iff s(d(x)) > T, where s(d) counts
+        # already-hit lines with pre-sweep depth < d; survivors
+        # form an address prefix of each run.
+        hits = misses = wb_self = 0
         survivors: list[tuple[int, int, bool]] = []
-        if ov.any():
-            sizes = ends - starts
-            prefixes = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            idx = np.nonzero(ov)[0]
-            run_lo = lo[idx]
-            order = np.argsort(run_lo, kind="stable")
-            idx = idx[order]
-            runs = zip(
-                lo[idx].tolist(),
-                hi[idx].tolist(),
-                dirty[idx].tolist(),
-                (prefixes[idx] + ends[idx] - 1 - lo[idx]).tolist(),
-            )
-            # -- 2. sweep in address order, deciding survival per run.
-            # Line x in [a, b) has pre-sweep depth d(x) = depth_a-(x-a)
-            # and survives iff s(d(x)) > T, where s(d) counts
-            # already-hit lines with pre-sweep depth < d; survivors
-            # form an address prefix of each run.
-            hit_depths: list[tuple[int, int]] = []
-            cursor = start
-            for a, b, run_dirty, depth_a in runs:
-                misses += a - cursor
-                cursor = b
-                run_len = b - a
-                T = hits + misses + depth_a - cap
-                if T < 0:
-                    survive = run_len
-                else:
-                    survive = _count_surviving(
-                        hit_depths, depth_a - (run_len - 1), depth_a, T
-                    )
-                if survive > 0:
-                    hits += survive
-                    hit_depths.append((depth_a - survive + 1, depth_a + 1))
-                    survivors.append((a, a + survive, run_dirty))
-                failed = run_len - survive
-                if failed > 0:
-                    misses += failed
-                    if run_dirty:
-                        wb_self += failed
-            misses += end - cursor
-        else:
-            misses = end - start
-
-        # -- 3. top band covering R (descending address order)
-        band = _build_band(start, end, write, survivors)
-
-        # -- 4. remaining old extents: drop the overlap, keep the rest
-        if n:
-            new_starts, new_ends, new_dirty = _remove_range(
-                starts, ends, dirty, start, end, ov
-            )
-            bs, be, bd = band
-            new_starts = np.concatenate((bs, new_starts))
-            new_ends = np.concatenate((be, new_ends))
-            new_dirty = np.concatenate((bd, new_dirty))
-        else:
-            new_starts, new_ends, new_dirty = band
-
-        # -- 5. trim to capacity from the bottom (deepest line of the
-        # deepest extent = its lowest address)
-        new_starts, new_ends, new_dirty, wb_evict = _trim(
-            new_starts, new_ends, new_dirty, cap
+        hit_depths: list[tuple[int, int]] = []
+        cursor = start
+        for r in recs:
+            a, b = max(r.start, start), min(r.end, end)
+            depth_a = above[id(r)] + r.end - 1 - a
+            misses += a - cursor
+            cursor = b
+            run_len = b - a
+            T = hits + misses + depth_a - cap
+            if T < 0:
+                survive = run_len
+            else:
+                survive = _count_surviving(
+                    hit_depths, depth_a - (run_len - 1), depth_a, T
+                )
+            if survive > 0:
+                hits += survive
+                hit_depths.append((depth_a - survive + 1, depth_a + 1))
+                survivors.append((a, a + survive, r.dirty))
+            failed = run_len - survive
+            if failed > 0:
+                misses += failed
+                if r.dirty:
+                    wb_self += failed
+        misses += end - cursor
+        # -- 3. drop R from the old extents, keeping the rest
+        self._cut(start, end, i, j)
+        # -- 4. the band covering R goes on top
+        self._push(
+            _build_band(start, end, write, survivors),
+            bisect_left(self._starts, start),
         )
-        self._set(*_merge_stack(new_starts, new_ends, new_dirty))
-        return AccessResult(hits, misses, wb_self + wb_evict)
+        # -- 5. trim to capacity from the bottom
+        if self._lines > cap:
+            wb_self += self._trim()
+        return AccessResult(hits, misses, wb_self)
+
+    def _push(self, band: list[tuple[int, int, bool]], k: int) -> None:
+        """Push ``band`` onto the top of the stack, merging its bottom
+        piece into the old top when that continues it.
+
+        ``band`` lists (start, end, dirty) pieces in ascending address
+        order over a range that holds no resident line; their starts
+        belong at ``_starts[k]``.
+        """
+        stack, by_start = self._stack, self._by_start
+        a, b, dirty = band[0]
+        self._lines += band[-1][1] - a
+        if stack and stack[-1].end == a and stack[-1].dirty == dirty:
+            stack[-1].end = b
+            band = band[1:]
+        keys = []
+        for a, b, dirty in band:
+            r = _Rec(a, b, dirty)
+            stack.append(r)
+            by_start[a] = r
+            keys.append(a)
+        self._starts[k:k] = keys
+
+    def _trim(self) -> int:
+        """Evict from the stack bottom until within capacity (the deepest
+        line of the deepest extent is its lowest address); returns the
+        number of dirty lines written back."""
+        wb = 0
+        stack, starts, by_start = self._stack, self._starts, self._by_start
+        while self._lines > self.capacity:
+            r = stack[0]
+            excess = self._lines - self.capacity
+            size = r.end - r.start
+            k = bisect_left(starts, r.start)
+            del by_start[r.start]
+            if size <= excess:
+                del stack[0]
+                del starts[k]
+                evicted = size
+            else:
+                r.start += excess
+                starts[k] = r.start
+                by_start[r.start] = r
+                evicted = excess
+            self._lines -= evicted
+            if r.dirty:
+                wb += evicted
+        return wb
 
     # ------------------------------------------------------ coherence
     def invalidate(self, start: int, end: int) -> tuple[int, int]:
         """Remove [start, end); returns (resident_lines, dirty_lines)."""
-        starts, ends, dirty = self._starts, self._ends, self._dirty
-        if start >= end or not len(starts):
+        if start >= end:
             return (0, 0)
-        lo = np.maximum(starts, start)
-        hi = np.minimum(ends, end)
-        ov = lo < hi
-        if not ov.any():
-            return (0, 0)
-        overlap = np.maximum(hi - lo, 0)
-        resident = int(overlap[ov].sum())
-        dirty_lines = int(overlap[ov & dirty].sum())
-        self._set(*_remove_range(starts, ends, dirty, start, end, ov))
-        return resident, dirty_lines
+        return self._cut(start, end, *self._span(start, end))
 
     def downgrade(self, start: int, end: int) -> int:
         """Mark [start, end) clean (after a snoop read forces a
         writeback); returns the number of lines that were dirty."""
-        starts, ends, dirty = self._starts, self._ends, self._dirty
-        if start >= end or not len(starts):
+        if start >= end:
             return 0
-        lo = np.maximum(starts, start)
-        hi = np.minimum(ends, end)
-        hot = (lo < hi) & dirty
-        if not hot.any():
-            return 0
-        dirtied = int(np.maximum(hi - lo, 0)[hot].sum())
-        # Fully-covered dirty extents just flip clean; partially covered
-        # ones split into up to three pieces (high / clean middle / low)
-        # preserving the depth convention.
-        out_s: list[np.ndarray] = []
-        out_e: list[np.ndarray] = []
-        out_d: list[np.ndarray] = []
-        full = hot & (starts >= start) & (ends <= end)
-        partial_idx = np.nonzero(hot & ~full)[0]
-        new_dirty = dirty.copy()
-        new_dirty[full] = False
-        prev = 0
-        for i in partial_idx.tolist():
-            _append_rows(out_s, out_e, out_d, starts, ends, new_dirty, prev, i)
-            a, b = max(starts[i], start), min(ends[i], end)
-            piece_s, piece_e, piece_d = [], [], []
-            if b < ends[i]:
-                piece_s.append(b)
-                piece_e.append(ends[i])
-                piece_d.append(True)
-            piece_s.append(a)
-            piece_e.append(b)
-            piece_d.append(False)
-            if starts[i] < a:
-                piece_s.append(starts[i])
-                piece_e.append(a)
-                piece_d.append(True)
-            out_s.append(np.array(piece_s, dtype=np.int64))
-            out_e.append(np.array(piece_e, dtype=np.int64))
-            out_d.append(np.array(piece_d, dtype=bool))
-            prev = i + 1
-        _append_rows(out_s, out_e, out_d, starts, ends, new_dirty, prev, len(starts))
-        self._set(
-            np.concatenate(out_s) if out_s else _EMPTY_I,
-            np.concatenate(out_e) if out_e else _EMPTY_I,
-            np.concatenate(out_d) if out_d else _EMPTY_B,
-        )
+        dirtied = 0
+        stack, starts, by_start = self._stack, self._starts, self._by_start
+        for r in self._recs(*self._span(start, end)):
+            if not r.dirty:
+                continue
+            a, b, r_end = max(r.start, start), min(r.end, end), r.end
+            dirtied += b - a
+            # A partially covered extent splits into up to three pieces
+            # (dirty low / clean middle / dirty high, bottom to top)
+            # preserving the depth convention; the lowest piece keeps
+            # the record.
+            pieces = []
+            if r.start < a:
+                r.end = a
+                pieces.append(_Rec(a, b, False))
+            else:
+                r.end, r.dirty = b, False
+            if b < r_end:
+                pieces.append(_Rec(b, r_end, True))
+            if pieces:
+                k = stack.index(r) + 1
+                stack[k:k] = pieces
+                k = bisect_left(starts, r.start) + 1
+                starts[k:k] = [p.start for p in pieces]
+                for p in pieces:
+                    by_start[p.start] = p
         return dirtied
 
 
 # ---------------------------------------------------------------- helpers
-def _append_rows(out_s, out_e, out_d, starts, ends, dirty, lo: int, hi: int) -> None:
-    if lo < hi:
-        out_s.append(starts[lo:hi])
-        out_e.append(ends[lo:hi])
-        out_d.append(dirty[lo:hi])
-
-
-def _remove_range(starts, ends, dirty, start: int, end: int, ov) -> tuple:
-    """Drop [start, end) from the extents, keeping stack order.
-
-    Fully-covered extents disappear; the (at most two) partially
-    covered ones are replaced in place by their outside pieces, the
-    higher-address piece first (it is the more recent one).
-    """
-    full = ov & (starts >= start) & (ends <= end)
-    partial_idx = np.nonzero(ov & ~full)[0]
-    keep = ~ov
-    if not len(partial_idx):
-        return starts[keep], ends[keep], dirty[keep]
-    out_s: list[np.ndarray] = []
-    out_e: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-    prev = 0
-
-    def keep_slice(lo, hi):
-        if lo < hi:
-            m = keep[lo:hi]
-            out_s.append(starts[lo:hi][m])
-            out_e.append(ends[lo:hi][m])
-            out_d.append(dirty[lo:hi][m])
-
-    for i in partial_idx.tolist():
-        keep_slice(prev, i)
-        piece_s, piece_e = [], []
-        a, b = max(starts[i], start), min(ends[i], end)
-        if b < ends[i]:  # higher-address remainder first (more recent)
-            piece_s.append(b)
-            piece_e.append(ends[i])
-        if starts[i] < a:
-            piece_s.append(starts[i])
-            piece_e.append(a)
-        out_s.append(np.array(piece_s, dtype=np.int64))
-        out_e.append(np.array(piece_e, dtype=np.int64))
-        out_d.append(np.full(len(piece_s), bool(dirty[i])))
-        prev = i + 1
-    keep_slice(prev, len(starts))
-    return np.concatenate(out_s), np.concatenate(out_e), np.concatenate(out_d)
-
-
-def _build_band(start: int, end: int, write: bool, survivors) -> tuple:
-    """Piece arrays covering [start, end) in DESCENDING address order
-    (most recent = highest address first).
+def _build_band(
+    start: int, end: int, write: bool, survivors: list[tuple[int, int, bool]]
+) -> list[tuple[int, int, bool]]:
+    """Pieces covering [start, end) in ascending address order (bottom
+    of the band first: the highest address is the most recent).
 
     After a write the whole band is dirty.  After a read, only the
     surviving parts of previously-dirty runs stay dirty (failed dirty
     lines were written back and refetched clean).
     """
     if write:
-        return (
-            np.array([start], dtype=np.int64),
-            np.array([end], dtype=np.int64),
-            np.array([True]),
-        )
+        return [(start, end, True)]
     pieces: list[tuple[int, int, bool]] = []
     cursor = start
 
@@ -406,59 +417,7 @@ def _build_band(start: int, end: int, write: bool, survivors) -> tuple:
         emit(a, b, True)
         cursor = b
     emit(cursor, end, False)
-    pieces.reverse()
-    return (
-        np.array([p[0] for p in pieces], dtype=np.int64),
-        np.array([p[1] for p in pieces], dtype=np.int64),
-        np.array([p[2] for p in pieces], dtype=bool),
-    )
-
-
-def _trim(starts, ends, dirty, cap: int) -> tuple:
-    """Evict from the stack bottom until within capacity; returns the
-    trimmed arrays and the number of dirty lines written back."""
-    sizes = ends - starts
-    total = int(sizes.sum())
-    if total <= cap:
-        return starts, ends, dirty, 0
-    cum = np.cumsum(sizes)
-    # First extent index at which the running total exceeds capacity.
-    cut = int(np.searchsorted(cum, cap, side="left"))
-    wb = int((sizes[cut + 1 :] * dirty[cut + 1 :]).sum())
-    keep_in_cut = cap - (int(cum[cut - 1]) if cut > 0 else 0)
-    excess_in_cut = int(sizes[cut]) - keep_in_cut
-    if dirty[cut]:
-        wb += excess_in_cut
-    starts = starts[: cut + 1].copy()
-    ends = ends[: cut + 1]
-    dirty = dirty[: cut + 1]
-    if keep_in_cut == 0:
-        starts, ends, dirty = starts[:cut], ends[:cut], dirty[:cut]
-    else:
-        # Deepest lines of an extent are its lowest addresses.
-        starts[cut] = ends[cut] - keep_in_cut
-    return starts, ends, dirty, wb
-
-
-def _merge_stack(starts, ends, dirty) -> tuple:
-    """Coalesce stack-adjacent extents that continue each other.
-
-    If extent ``A`` sits directly above ``B`` in the stack and
-    ``A.start == B.end`` with equal dirty flags, the merged extent has
-    *identical* per-line depths under the ascending-recency convention,
-    so merging is exactness-preserving.  Chunked sweeps produce exactly
-    this pattern; without merging the stack would hold one extent per
-    chunk.
-    """
-    n = len(starts)
-    if n < 2:
-        return starts, ends, dirty
-    brk = (starts[:-1] != ends[1:]) | (dirty[:-1] != dirty[1:])
-    if brk.all():
-        return starts, ends, dirty
-    heads = np.concatenate(([True], brk))
-    tails = np.concatenate((brk, [True]))
-    return starts[tails], ends[heads], dirty[heads]
+    return pieces
 
 
 def _count_surviving(

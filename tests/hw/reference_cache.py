@@ -32,6 +32,9 @@ class ReferenceLRUCache:
             self.od[line] = dirty or write
         return hits, misses, writebacks
 
+    def __contains__(self, line: int) -> bool:
+        return line in self.od
+
     def resident_lines(self, start: int, end: int) -> int:
         return sum(1 for line in range(start, end) if line in self.od)
 

@@ -37,8 +37,8 @@ def _apply(cache, kind, start, length, write):
 
 
 @settings(max_examples=400, deadline=None)
-@given(capacity=_capacities, ops=_ops)
-def test_extent_cache_matches_reference(capacity, ops):
+@given(capacity=_capacities, ops=_ops, data=st.data())
+def test_extent_cache_matches_reference(capacity, ops, data):
     ext = ExtentLRUCache(capacity)
     ref = ReferenceLRUCache(capacity)
     for i, (kind, start, length, write) in enumerate(ops):
@@ -55,6 +55,15 @@ def test_extent_cache_matches_reference(capacity, ops):
         assert ext.used_lines == ref.used_lines
         # Full residency comparison over the touched universe.
         assert ext.peek(0, 80) == ref.peek(0, 80), f"state diverged at op {i}"
+        # resident_lines and ``in`` answer from the address index, not
+        # from peek: check both on a random sub-range.
+        lo = data.draw(st.integers(min_value=0, max_value=80), label=f"lo{i}")
+        hi = data.draw(st.integers(min_value=lo, max_value=80), label=f"hi{i}")
+        assert ext.resident_lines(lo, hi) == ref.resident_lines(lo, hi), (
+            f"op {i}: resident_lines[{lo},{hi}) diverged"
+        )
+        for line in range(lo, hi):
+            assert (line in ext) == (line in ref), f"op {i}: line {line} membership"
 
 
 @settings(max_examples=200, deadline=None)
