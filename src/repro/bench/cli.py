@@ -10,7 +10,7 @@ Examples::
     repro-bench --list
     repro-bench trace --mode knem-ioat --size 1M --out trace.json
     repro-bench campaign run --backends default,knem --sizes 64K,1M --seeds 3
-    repro-bench campaign run --supervise --workers 4
+    repro-bench campaign run --workers 4
     repro-bench campaign compare --baseline BENCH_campaign.json
     repro-bench campaign chaos --seed 0 --kill-prob 0.3
     repro-bench sched --out BENCH_sched.json
@@ -25,7 +25,6 @@ from what actually runs (``tests/bench/test_cli.py`` pins this).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -314,10 +313,12 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-bench campaign",
         description="Run declarative experiment campaigns over the "
-        "simulated testbed: axis cross-products, a multiprocessing "
-        "worker pool, a content-addressed result cache (re-runs are "
-        "100%% cache hits), a baseline regression gate, and a "
-        "crash-tolerant supervised fleet with a chaos self-check.",
+        "simulated testbed: axis cross-products, a content-addressed "
+        "result cache (re-runs are 100%% cache hits), a baseline "
+        "regression gate, and a chaos self-check.  --workers 0 runs "
+        "the trials serially in-process; --workers N runs them on a "
+        "crash-tolerant coordinator with N local agents, journaled in "
+        "--state-dir.",
     )
     p.add_argument(
         "action",
@@ -330,8 +331,9 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=min(4, os.cpu_count() or 1),
-        help="worker processes (<=1 runs serially in-process)",
+        default=0,
+        help="local agents of a coordinator fleet journaled in "
+        "--state-dir (default 0: run serially in-process)",
     )
     p.add_argument(
         "--results-dir",
@@ -362,20 +364,17 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
         help="relative median drift allowed by the gate (default 0.05)",
     )
     fleet = p.add_argument_group(
-        "fleet", "supervised mode (run/resume --supervise, chaos)"
-    )
-    fleet.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run/resume through an in-process coordinator with local "
-        "agents (durable lease journal, requeue on agent death, lease "
-        "watchdog, retry budgets)",
+        "fleet",
+        "run/resume/compare with --workers N >= 1 (an in-process "
+        "coordinator: durable lease journal, requeue on agent death, "
+        "lease watchdog, retry budgets), and chaos",
     )
     fleet.add_argument(
         "--state-dir",
         metavar="DIR",
         default="results/fleet",
-        help="lease journal / fleet state directory (default: results/fleet)",
+        help="lease journal / fleet state directory; one directory holds "
+        "one run, so a new run needs a new one (default: results/fleet)",
     )
     fleet.add_argument(
         "--fleet",
@@ -559,21 +558,21 @@ def _run_campaign_cli(argv: list[str]) -> int:
             f"resuming: {cached}/{len(spec.trials())} trials already cached",
             file=sys.stderr,
         )
-    if args.supervise:
+    if args.workers >= 1:
         from repro.service import run_supervised
 
         if cache is None:
             print(
-                "campaign --supervise needs the result cache "
-                "(drop --no-cache): the store is the crash-consistency "
-                "substrate",
+                "campaign --workers N needs the result cache (drop "
+                "--no-cache, or run serially with --workers 0): the "
+                "store is the crash-consistency substrate",
                 file=sys.stderr,
             )
             return 2
         run = run_supervised(
             spec, cache,
             state_dir=args.state_dir,
-            workers=max(1, args.workers),
+            workers=args.workers,
             retry_budget=args.retry_budget,
             lease_ttl=args.lease_ttl,
             backoff_base=args.backoff_base,
@@ -582,7 +581,7 @@ def _run_campaign_cli(argv: list[str]) -> int:
             if name.startswith("campaign.") and ".worker." not in name:
                 print(f"{name} = {run.fleet[name]:g}", file=sys.stderr)
     else:
-        run = run_campaign(spec, cache=cache, workers=args.workers)
+        run = run_campaign(spec, cache=cache)
     doc = run.document()
     if args.out:
         atomic_write_json(args.out, doc)

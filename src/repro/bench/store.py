@@ -56,14 +56,19 @@ def atomic_write_json(path: str | Path, payload, indent: Optional[int] = 2) -> N
     fsync'd, then renamed over ``path``, then the *directory* is
     fsync'd so the rename survives power loss — an interrupted writer
     leaves at worst a stale ``.tmp`` beside an intact previous
-    version.  Used by every result store (sweeps here, trial records
-    in :mod:`repro.campaign.cache`).
+    version.  Used for sweeps, fleet status files and every ``--out``
+    document.
+
+    Keys are written sorted, so a document's bytes depend only on its
+    content, never on which runner built the dicts (records that
+    crossed the coordinator's socket arrive key-sorted; the serial
+    runner's keep insertion order).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
-        fh.write(json.dumps(payload, indent=indent) + "\n")
+        fh.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

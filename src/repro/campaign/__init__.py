@@ -7,10 +7,11 @@ scripts:
 
 * :mod:`~repro.campaign.spec` — axes -> trials, each with a canonical
   config and a stable content hash;
-* :mod:`~repro.campaign.executor` — multiprocessing pool, per-trial
-  watchdog timeouts, crash containment;
-* :mod:`~repro.campaign.cache` — content-addressed result store with
-  atomic writes (re-running a campaign is 100 % cache hits);
+* :mod:`~repro.campaign.executor` — the serial reference runner,
+  per-trial watchdog timeouts, failure containment;
+* :mod:`~repro.campaign.cache` — content-addressed result cache
+  (re-running a campaign is 100 % cache hits) over the backends in
+  :mod:`~repro.campaign.stores` (directory, sqlite, memory);
 * :mod:`~repro.campaign.stats` — replicate aggregation and the
   baseline regression gate;
 * :mod:`~repro.campaign.queue` — durable JSONL lease journal whose
@@ -22,13 +23,15 @@ scripts:
 
 The crash-tolerant fleet that drives the queue — worker agents, death
 detection, requeue, retry budgets, quarantine — is the coordinator in
-:mod:`repro.service`; ``repro.service.run_supervised`` runs one spec
-through it and ``repro.service.run_chaos_check`` proves recovery is
-byte-exact.
+:mod:`repro.service`, the only parallel runner;
+``repro.service.run_supervised`` runs one spec through it and
+``repro.service.run_chaos_check`` proves recovery is byte-exact.  No
+module here imports :mod:`repro.service`.
 
 CLI: ``repro-bench campaign run|resume|compare|report|chaos``
-(``--supervise`` routes run/resume through the coordinator;
-``report --fleet`` reads the telemetry files).
+(``--workers 0``, the default, runs serially; ``--workers N`` routes
+run/resume/compare through the coordinator; ``report --fleet`` reads
+the telemetry files).
 """
 
 from repro.campaign.cache import ResultCache

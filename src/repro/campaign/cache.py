@@ -3,14 +3,14 @@
 One record per trial, keyed by the trial's config hash.  Historically
 this was always a directory of ``results/<hash>.json`` files; the
 serving layer generalized the backing into the
-:class:`repro.service.stores.ResultStore` interface (directory, sqlite,
+:class:`repro.campaign.stores.ResultStore` interface (directory, sqlite,
 in-memory), and :class:`ResultCache` became the facade the campaign
 stack talks to: it owns the read-side hit/miss accounting and delegates
 storage, corruption healing and tmp-sweeping to whichever backend it
 fronts.
 
 Directory stores keep the original crash story — writes go through
-:func:`repro.bench.store.atomic_write_json` (tmp + fsync + rename), so
+:func:`repro.bench.store.atomic_write_text` (tmp + fsync + rename), so
 an interrupted campaign leaves at worst a stray ``.tmp`` file, never a
 torn record.  The sqlite store gets the same property from WAL
 journaling, plus wholesale rebuild (journal replay re-runs the lost
@@ -25,6 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
+from repro.campaign.stores import DirectoryStore, ResultStore, open_store
 from repro.errors import BenchmarkError
 
 __all__ = ["ResultCache"]
@@ -40,13 +41,9 @@ class ResultCache:
     """
 
     def __init__(self, backing) -> None:
-        from repro.service.stores import ResultStore
-
         if isinstance(backing, ResultStore):
             self.store = backing
         else:
-            from repro.service.stores import DirectoryStore
-
             self.store = DirectoryStore(backing)
         #: Read-side telemetry since construction.  ``hits`` counts
         #: records served, ``misses`` counts absent keys; both live on
@@ -59,8 +56,6 @@ class ResultCache:
     @classmethod
     def open(cls, url: str) -> "ResultCache":
         """A cache over the store ``url`` names (see ``open_store``)."""
-        from repro.service.stores import open_store
-
         return cls(open_store(url))
 
     # ------------------------------------------------- backend passthrough

@@ -25,7 +25,6 @@ the recovered document against an undisturbed run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,18 +36,10 @@ __all__ = [
     "KILL_POINTS",
     "ChaosPlan",
     "ChaosState",
-    "pool_kill_armed",
 ]
 
 #: Kill points a plan may draw from (see the module docstring).
 KILL_POINTS = ("mid-trial", "spawn", "hang")
-
-#: Env var arming the *pool-mode* kill hook: a comma list of trial-hash
-#: prefixes; a pool worker whose trial matches SIGKILLs itself before
-#: executing.  Only honoured inside a child process (never the caller),
-#: which is what lets tests and the chaos harness crash
-#: ``run_campaign`` workers without touching the orchestrator.
-POOL_KILL_ENV = "REPRO_CHAOS_KILL"
 
 
 def _check_prob(name: str, p: float) -> None:
@@ -142,24 +133,3 @@ class ChaosState:
         rng = np.random.default_rng([plan.seed, 0x5BA, slot, incarnation])
         return bool(rng.random() < plan.spawn_kill_prob)
 
-
-def pool_kill_armed(config: dict) -> bool:
-    """Pool-mode kill hook: should this pool child die before this trial?
-
-    Reads :data:`POOL_KILL_ENV` (hash prefixes) and fires only when
-    running inside a :mod:`multiprocessing` child — the orchestrating
-    process never self-kills, no matter what the env says.  Only
-    ``run_campaign``'s pool consults it; the coordinator's local agents
-    take a :class:`ChaosPlan` instead.
-    """
-    prefixes = os.environ.get(POOL_KILL_ENV, "")
-    if not prefixes:
-        return False
-    import multiprocessing
-
-    if multiprocessing.parent_process() is None:
-        return False
-    from repro.campaign.spec import trial_hash
-
-    h = trial_hash(config)
-    return any(h.startswith(p) for p in prefixes.split(",") if p)

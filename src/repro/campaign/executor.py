@@ -1,25 +1,22 @@
-"""Run a campaign's trials: worker pool, isolation, cache, watchdog.
+"""Run a campaign's trials: the serial reference runner.
 
-Trials execute through a :mod:`multiprocessing` pool (``workers > 1``)
-or serially in-process (``workers <= 1``).  Either way:
+:func:`run_campaign` executes a spec's trials one after another in the
+calling process.  Parallel runs are the coordinator's
+(:func:`repro.service.run_supervised` drives it with local agents,
+each of which calls :func:`run_trial`), and the documents the two
+produce are byte-identical.  Here:
 
 * **deterministic order** — trials run and report in spec-expansion
-  order (``pool.map`` preserves it), so two runs of the same spec
-  produce byte-identical documents;
-* **process isolation** — each pooled trial runs in a worker process,
-  so a crash (or a leaked global) cannot poison its siblings;
+  order, so two runs of the same spec produce byte-identical
+  documents;
 * **failure containment** — :func:`run_trial` converts any exception
-  into a ``status: "failed"`` record; one broken trial never aborts
-  the campaign;
-* **worker-death containment** — a pool worker that dies outright
-  (SIGKILL, OOM, interpreter abort) breaks the pool, not the
-  campaign: collateral trials re-run in a fresh pool and the trial
-  that actually killed its worker is convicted by an isolation retry
-  and recorded as ``status: "failed"``;
+  into a ``status: "failed"`` record (:func:`failed_record`, the same
+  shape the coordinator gives a quarantined trial); one broken trial
+  never aborts the campaign;
 * **watchdog timeouts** — every simulated run carries the trial's
   ``max_events`` / ``max_sim_time`` budgets, so a livelocked trial
   fails with :class:`repro.errors.LivelockError` instead of hanging
-  the pool;
+  the run;
 * **cache** — hashes already present in the :class:`ResultCache` are
   served as hits and executed zero times, which is also the resume
   path after an interrupt.
@@ -27,10 +24,7 @@ or serially in-process (``workers <= 1``).  Either way:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +33,13 @@ from repro.campaign.spec import CampaignSpec, Trial, trial_hash
 from repro.campaign.stats import aggregate
 from repro.errors import TrialQuarantined
 
-__all__ = ["run_trial", "run_campaign", "CampaignRun", "DOCUMENT_VERSION"]
+__all__ = [
+    "run_trial",
+    "failed_record",
+    "run_campaign",
+    "CampaignRun",
+    "DOCUMENT_VERSION",
+]
 
 DOCUMENT_VERSION = 1
 
@@ -347,32 +347,43 @@ _WORKLOAD_FNS: dict[str, Callable[[dict, object], dict]] = {
 
 
 # ---------------------------------------------------------------- execution
+def failed_record(config: dict, error: str) -> dict:
+    """The record of a trial that produced no metrics: an exception in
+    :func:`run_trial`, or a quarantine after its retry budget."""
+    return {
+        "hash": trial_hash(config),
+        "config": config,
+        "seed": config.get("seed"),
+        "status": "failed",
+        "primary": None,
+        "metrics": None,
+        "error": error,
+    }
+
+
 def run_trial(config: dict, trace_dir: Optional[str] = None) -> dict:
     """Execute one trial; never raises.
 
     Returns the trial record: ``{"hash", "config", "seed", "status",
     "primary", "metrics", "error"}`` with ``status`` of ``"ok"`` or
-    ``"failed"``.  Module-level and dict-in/dict-out so it is picklable
-    for the worker pool.
+    ``"failed"``.  Dict-in/dict-out, so a worker agent can run it from
+    a config received over the wire.
     """
-    record = {
+    try:
+        fn = _WORKLOAD_FNS[config["workload"]]
+        metrics = fn(config, _obs(config, trace_dir))
+        primary = metrics.pop("primary")
+    except Exception as exc:  # one broken trial must never kill the run
+        return failed_record(config, f"{type(exc).__name__}: {exc}")
+    return {
         "hash": trial_hash(config),
         "config": config,
         "seed": config.get("seed"),
         "status": "ok",
-        "primary": None,
-        "metrics": None,
+        "primary": primary,
+        "metrics": metrics,
         "error": None,
     }
-    try:
-        fn = _WORKLOAD_FNS[config["workload"]]
-        metrics = fn(config, _obs(config, trace_dir))
-        record["primary"] = metrics.pop("primary")
-        record["metrics"] = metrics
-    except Exception as exc:  # one broken trial must never kill the run
-        record["status"] = "failed"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    return record
 
 
 @dataclass
@@ -461,73 +472,23 @@ class CampaignRun:
         return line
 
 
-def _death_record(config: dict) -> dict:
-    """The failed record for a trial whose pool worker died outright."""
-    return {
-        "hash": trial_hash(config),
-        "config": config,
-        "seed": config.get("seed"),
-        "status": "failed",
-        "primary": None,
-        "metrics": None,
-        "error": "WorkerDeath: pool worker died executing this trial "
-        "(SIGKILL/OOM/interpreter abort)",
-    }
-
-
-def _pool_trial(config: dict, trace_dir: Optional[str]) -> dict:
-    """:func:`run_trial` inside a pool worker, behind the chaos kill hook."""
-    from repro.campaign.chaos import pool_kill_armed
-
-    if pool_kill_armed(config):  # chaos harness: die before the trial
-        import os
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    return run_trial(config, trace_dir)
-
-
-def _pool_run(runner, configs: list[dict], workers: int) -> list[dict]:
-    """``pool.map`` with worker-death containment.
-
-    A dead worker makes *every* unfinished future raise
-    :class:`BrokenProcessPool` without saying which trial killed it, so
-    each suspect is retried alone in a single-worker pool: collateral
-    trials succeed there, and a pool that breaks again convicts its
-    only occupant, which becomes a ``status: "failed"`` record instead
-    of an exception out of :func:`run_campaign`.
-    """
-    results: list[Optional[dict]] = [None] * len(configs)
-    suspects: list[int] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-        futures = [pool.submit(runner, c) for c in configs]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except BrokenProcessPool:
-                suspects.append(i)
-    for i in suspects:
-        try:
-            with ProcessPoolExecutor(max_workers=1) as solo:
-                results[i] = solo.submit(runner, configs[i]).result()
-        except BrokenProcessPool:
-            results[i] = _death_record(configs[i])
-    return results
-
-
 def run_campaign(
     spec: CampaignSpec,
     cache: Optional[ResultCache] = None,
-    workers: int = 0,
     trials: Optional[Sequence[Trial]] = None,
     trace_dir: Optional[str] = None,
 ) -> CampaignRun:
-    """Expand ``spec`` and execute every trial not already cached.
+    """Expand ``spec`` and execute, serially in-process, every trial not
+    already cached.
 
-    ``workers > 1`` fans the uncached trials over a multiprocessing
-    pool; otherwise they run serially in-process.  ``trials`` overrides
-    the spec expansion (used by tests and partial re-runs).  Cached
-    failures are never served — a failed trial always re-executes.
+    This is the reference runner; parallel runs go through the
+    coordinator (:func:`repro.service.run_supervised`) and must match
+    its document byte for byte.  ``trials`` overrides the spec
+    expansion (used by tests and partial re-runs).  The cache is read
+    for every trial before the first one runs, and each result is
+    stored as soon as its trial finishes, so an interrupted run resumes
+    from the last one.  Cached failures are never served — a failed
+    trial always re-executes.
     """
     trials = list(trials) if trials is not None else spec.trials()
     trace_dir = trace_dir if trace_dir is not None else spec.trace_dir
@@ -543,16 +504,9 @@ def run_campaign(
             records[i] = {**hit, "cached": True}
         else:
             pending.append((i, trial))
-    if pending:
-        configs = [t.config for _, t in pending]
-        if workers > 1 and len(configs) > 1:
-            fresh = _pool_run(
-                partial(_pool_trial, trace_dir=trace_dir), configs, workers
-            )
-        else:
-            fresh = [run_trial(c, trace_dir) for c in configs]
-        for (i, trial), record in zip(pending, fresh):
-            if cache is not None and record["status"] == "ok":
-                cache.put(trial.hash, record)
-            records[i] = {**record, "cached": False}
+    for i, trial in pending:
+        record = run_trial(trial.config, trace_dir)
+        if cache is not None and record["status"] == "ok":
+            cache.put(trial.hash, record)
+        records[i] = {**record, "cached": False}
     return CampaignRun(spec=spec, trials=trials, records=records)

@@ -5,21 +5,22 @@ Turns :mod:`repro.campaign` from a one-shot CLI into a daemon: a
 over a JSONL socket API, shards trials across attached worker agents
 (each an incarnation-tagged lease consumer), and streams progress to
 many concurrent clients, deduplicating work fleet-wide through a
-pluggable :class:`~repro.service.stores.ResultStore`.
+pluggable :class:`~repro.campaign.stores.ResultStore`.
 :func:`~repro.service.fleet.run_supervised` runs one spec through an
-in-process coordinator (the crash-tolerant ``campaign --supervise``
-path) and :func:`~repro.service.fleet.run_chaos_check` proves it
-recovers byte-exactly from seeded agent kills.
+in-process coordinator with local agents (``campaign run --workers N``;
+the only parallel trial runner) and
+:func:`~repro.service.fleet.run_chaos_check` proves it recovers
+byte-exactly from seeded agent kills.
 
-Import structure: the store backends load eagerly (``repro.campaign.cache``
-fronts them, so they must not import campaign code), while the
-coordinator/client/worker/fleet — which *do* import campaign code — resolve
-lazily through ``__getattr__`` to keep the cycle broken.
+Import structure: the store backends live in :mod:`repro.campaign.stores`
+and are re-exported here and from ``repro.service.stores``; the
+coordinator/client/worker/fleet resolve lazily through ``__getattr__``,
+so importing the package stays cheap.
 """
 
 from __future__ import annotations
 
-from repro.service.stores import (
+from repro.campaign.stores import (
     DirectoryStore,
     MemoryStore,
     ResultStore,

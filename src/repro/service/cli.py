@@ -139,7 +139,7 @@ def _format_sub_status(s: dict) -> str:
 def _run_start(args) -> int:
     from repro.campaign.chaos import ChaosPlan
     from repro.service.coordinator import Coordinator
-    from repro.service.stores import open_store
+    from repro.campaign.stores import open_store
 
     store = open_store(args.store) if args.store else str(
         Path(args.state_dir) / "results"

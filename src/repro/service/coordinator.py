@@ -8,7 +8,7 @@ over the JSONL socket API; each submission gets its own durable
 coordinator spawns, plus any number of externally attached
 ``repro-bench service worker`` processes — pull trials one at a time
 over the same socket.  The coordinator is the sole writer of the shared
-:class:`~repro.service.stores.ResultStore`: agents report records over
+:class:`~repro.campaign.stores.ResultStore`: agents report records over
 the wire, which is what lets the in-memory store serve single-process
 tests through exactly the code paths the sqlite store serves a fleet.
 
@@ -51,7 +51,7 @@ from typing import Optional
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.chaos import ChaosPlan, ChaosState
-from repro.campaign.executor import CampaignRun
+from repro.campaign.executor import CampaignRun, failed_record
 from repro.campaign.queue import LeaseQueue, journal_states
 from repro.campaign.spec import CampaignSpec, Trial
 from repro.campaign.telemetry import FleetTelemetry
@@ -288,6 +288,14 @@ class Coordinator:
                 return
             self._stopping = True
         if self._listener is not None:
+            # Forked local agents share the listening socket, so close()
+            # alone leaves it accepting into a backlog nobody serves: an
+            # agent still attaching would block until the kill below.
+            # shutdown() stops the socket itself, so it refuses instead.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -649,16 +657,11 @@ class Coordinator:
                                        "cached": False}
             elif state.status == "quarantined":
                 # The record a live final attempt would have reported.
+                error = state.error or (
+                    f"TrialQuarantined: {self.retry_budget} failed attempt(s)"
+                )
                 records[trial.hash] = {
-                    "hash": trial.hash,
-                    "config": trial.config,
-                    "seed": trial.config.get("seed"),
-                    "status": "failed",
-                    "primary": None,
-                    "metrics": None,
-                    "error": state.error or f"TrialQuarantined: "
-                    f"{self.retry_budget} failed attempt(s)",
-                    "cached": False,
+                    **failed_record(trial.config, error), "cached": False,
                 }
         return records
 

@@ -1,14 +1,20 @@
 """Supervised campaigns: one spec through an in-process coordinator.
 
-:func:`run_supervised` is ``run_campaign`` with a survival story.  It
-starts a :class:`~repro.service.coordinator.Coordinator` with
-``workers`` local agents, submits the spec in-process, waits for the
-submission to settle and returns the coordinator's
-:class:`~repro.campaign.executor.CampaignRun`.  Everything that makes
+:func:`run_supervised` is the parallel ``run_campaign`` with a
+survival story, and the only parallel trial runner: ``campaign
+run|resume|compare --workers N`` calls it.  It starts a
+:class:`~repro.service.coordinator.Coordinator` with ``workers`` local
+agents, submits the spec in-process, waits for the submission to
+settle and returns the coordinator's
+:class:`~repro.campaign.executor.CampaignRun`, whose document is
+byte-identical to the serial ``run_campaign``'s.  Everything that makes
 it crash-tolerant is the coordinator's: the durable lease journal
 under ``<state_dir>/subs/sub1/``, requeue on socket EOF, the
 lease-deadline watchdog, retry budgets and quarantine, and journal
-reconciliation when a run resumes on the same state directory.
+reconciliation when a run resumes on the same state directory.  One
+state directory holds one run: a second run of the spec over it replays the
+journal and reproduces the first run's document, so a new run needs a
+new state directory.
 
 :func:`run_chaos_check` runs a spec once undisturbed and once under a
 seeded :class:`~repro.campaign.chaos.ChaosPlan`, and proves the two

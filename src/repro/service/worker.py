@@ -109,7 +109,8 @@ def _local_agent_main(
         _die("spawn")
     try:
         agent_loop(host, port, name, trace_dir=trace_dir)
-    except ServiceError:
-        # The coordinator went away (shutdown race); nothing to clean
-        # up — our leases requeue via the dropped socket.
+    except (ServiceError, ConnectionError):
+        # The coordinator went away (shutdown race: refused, or reset
+        # while still in its backlog); nothing to clean up — our
+        # leases requeue via the dropped socket.
         pass

@@ -50,23 +50,53 @@ def test_supervised_run_matches_plain_document(tmp_path, capsys):
     capsys.readouterr()
     fleet_out = tmp_path / "fleet.json"
     assert _run(
-        tmp_path / "b", "run", "--supervise",
+        tmp_path / "b", "run", "--workers", "2",
         "--state-dir", str(tmp_path / "b" / "state"),
         "--backoff-base", "0.01",
         "--out", str(fleet_out),
     ) == 0
     err = capsys.readouterr().err
     assert "campaign.leases = 6" in err
-    # The fleet is plumbing: the documents are identical.
-    assert json.loads(fleet_out.read_text()) == json.loads(
-        plain_out.read_text()
-    )
+    # The fleet is plumbing: the documents are identical, byte for byte.
+    assert fleet_out.read_bytes() == plain_out.read_bytes()
+
+
+def _lease_events(journal):
+    events = [json.loads(line) for line in journal.read_text().splitlines()]
+    return sum(1 for e in events if e["ev"] == "lease")
+
+
+def test_state_dir_holds_one_run(tmp_path, capsys):
+    """A second fleet run over the same state dir replays its journal
+    (no new lease) and reproduces the document; a new run needs a new
+    state dir, where the shared result cache serves every trial."""
+    state = tmp_path / "state"
+    fleet = ("--workers", "2", "--backoff-base", "0.01")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert _run(
+        tmp_path, "run", *fleet, "--state-dir", str(state), "--out", str(first)
+    ) == 0
+    journal = state / "subs" / "sub1" / "journal.jsonl"
+    assert _lease_events(journal) == 6
+    capsys.readouterr()
+
+    assert _run(
+        tmp_path, "run", *fleet, "--state-dir", str(state), "--out", str(second)
+    ) == 0
+    assert "executed 6 | cache hits: 0/6" in capsys.readouterr().out
+    assert _lease_events(journal) == 6
+    assert second.read_bytes() == first.read_bytes()
+
+    assert _run(
+        tmp_path, "run", *fleet, "--state-dir", str(tmp_path / "fresh")
+    ) == 0
+    assert "cache hits: 6/6 (100.0%)" in capsys.readouterr().out
 
 
 def test_supervise_rejects_no_cache(tmp_path, capsys):
     assert main([
         "campaign", "run", *AXES, "--no-cache",
-        "--supervise", "--state-dir", str(tmp_path / "state"),
+        "--workers", "2", "--state-dir", str(tmp_path / "state"),
     ]) == 2
     assert "crash-consistency substrate" in capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""Campaign execution: pool, cache hits, isolation, watchdog."""
+"""Serial campaign execution: cache hits, failure isolation, watchdog."""
 
 import pytest
 
@@ -24,12 +24,6 @@ def test_serial_run_produces_ordered_ok_records():
         assert record["seed"] == record["config"]["seed"]
         assert record["primary"] == "mib_per_s"
         assert record["metrics"]["mib_per_s"] > 0
-
-
-def test_pool_matches_serial_results():
-    serial = run_campaign(SPEC)
-    pooled = run_campaign(SPEC, workers=2)
-    assert pooled.records == serial.records
 
 
 def test_cache_hit_skips_execution(tmp_path):
@@ -67,7 +61,7 @@ def test_worker_failure_isolates_to_one_trial(tmp_path):
     good = SPEC.trials()[0]
     bad = Trial(config={**good.config, "pair": [0, 99]})  # no such core
     cache = ResultCache(tmp_path)
-    run = run_campaign(SPEC, cache=cache, trials=[good, bad], workers=2)
+    run = run_campaign(SPEC, cache=cache, trials=[good, bad])
     ok, failed = run.records
     assert ok["status"] == "ok"
     assert failed["status"] == "failed"
@@ -78,42 +72,6 @@ def test_worker_failure_isolates_to_one_trial(tmp_path):
     assert good.hash in cache
     retry = run_campaign(SPEC, cache=cache, trials=[good, bad])
     assert retry.cache_hits == 1 and retry.executed == 1
-
-
-def test_pool_worker_death_is_contained_to_one_trial(tmp_path, monkeypatch):
-    """A SIGKILLed pool worker (OOM, segfault) must cost one trial, not
-    the campaign: the broken pool is detected, survivors re-verify in
-    isolation, and the dead trial gets a failed record."""
-    from repro.campaign.chaos import POOL_KILL_ENV
-
-    trials = SPEC.trials()
-    victim = trials[1]
-    monkeypatch.setenv(POOL_KILL_ENV, victim.hash[:12])
-    cache = ResultCache(tmp_path)
-    run = run_campaign(SPEC, cache=cache, workers=2)
-    assert [r["hash"] for r in run.records] == [t.hash for t in trials]
-    dead = run.record_for(seed=victim.config["seed"],
-                          backend=victim.config["backend"])
-    assert dead["status"] == "failed"
-    assert "WorkerDeath" in dead["error"]
-    survivors = [r for r in run.records if r["hash"] != victim.hash]
-    assert all(r["status"] == "ok" for r in survivors)
-    # Deaths are never cached: a clean resume re-runs exactly the victim.
-    monkeypatch.delenv(POOL_KILL_ENV)
-    retry = run_campaign(SPEC, cache=cache, workers=2)
-    assert retry.cache_hits == 3 and retry.executed == 1
-    assert all(r["status"] == "ok" for r in retry.records)
-
-
-def test_pool_kill_env_never_fires_in_the_orchestrator(monkeypatch):
-    """The kill hook only bites inside multiprocessing children."""
-    from repro.campaign.chaos import POOL_KILL_ENV, pool_kill_armed
-
-    config = SPEC.trials()[0].config
-    monkeypatch.setenv(POOL_KILL_ENV, SPEC.trials()[0].hash[:12])
-    assert not pool_kill_armed(config)  # we are the parent process
-    serial = run_campaign(SPEC, trials=SPEC.trials()[:1])  # workers=0 path
-    assert serial.records[0]["status"] == "ok"
 
 
 def test_watchdog_budget_turns_livelock_into_failed_trial():

@@ -318,3 +318,17 @@ def test_watchdog_kills_a_hung_local_agent(tmp_path):
         assert co.metrics.counter("campaign.requeues").value == 1
         doc = client.fetch(reply["sub"])
     assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
+
+
+def test_stop_refuses_agents_that_have_not_attached(tmp_path):
+    """Local agents fork holding the listening socket.  When a
+    submission settles before they attach (an all-cache-hit run), stop()
+    must refuse them, not leave them blocked in a backlog nobody serves
+    until the kill deadline."""
+    for i in range(5):
+        co = Coordinator(MemoryStore(), tmp_path / f"s{i}", **FAST)
+        sub = co.submit(SPEC, trials=[])
+        co.start()
+        co.wait_settled(sub.sub_id, timeout=10.0)
+        co.stop()
+        assert [p.exitcode for p in co._local.values()] == [0, 0]
