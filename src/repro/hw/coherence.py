@@ -28,7 +28,7 @@ from repro.hw.topology import TopologySpec
 __all__ = ["StreamBreakdown", "CoherenceDomain"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamBreakdown:
     """Where the lines of one bulk stream were served from."""
 
@@ -141,8 +141,16 @@ class CoherenceDomain:
         die = self.topo.die_of(core)
         local = self.caches[die]
 
-        local_segments = [(a, b) for a, b, _ in local.peek(start, end)]
-        gaps = _subtract_segments((start, end), _merge_segments(local_segments))
+        # Peeks come back address-ordered and disjoint, so the local
+        # ones need no merge; a stream no cache holds skips the
+        # segment arithmetic altogether.
+        local_found = local.peek(start, end)
+        if local_found:
+            gaps = _subtract_segments(
+                (start, end), [(a, b) for a, b, _ in local_found]
+            )
+        else:
+            gaps = [(start, end)]
 
         # Probe remote caches for the locally-missing portion.
         remote_segments: list[tuple[int, int]] = []
@@ -168,7 +176,11 @@ class CoherenceDomain:
                 # are written back to memory (M -> S, HITM implicit
                 # writeback on FSB platforms).
                 writebacks += cache.downgrade(start, end)
-        remote_only = _overlap_count(gaps, _merge_segments(remote_segments))
+        remote_only = (
+            _overlap_count(gaps, _merge_segments(remote_segments))
+            if remote_segments and gaps
+            else 0
+        )
 
         probe = self.interference
         token = probe.pre_access(die, start, end) if probe is not None else None

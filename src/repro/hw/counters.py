@@ -7,7 +7,6 @@ read-out facade used by the benchmark tables.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
 from repro.errors import HardwareError
@@ -36,23 +35,25 @@ class CounterSet:
 
     def __init__(self, core: int) -> None:
         self.core = core
-        self._values: dict[str, float] = defaultdict(float)
+        self._values: dict[str, float] = dict.fromkeys(EVENTS, 0.0)
 
     def add(self, event: str, amount: float = 1) -> None:
-        if event not in EVENTS:
-            raise HardwareError(f"unknown counter event {event!r}")
-        self._values[event] += amount
+        try:
+            self._values[event] += amount
+        except KeyError:
+            raise HardwareError(f"unknown counter event {event!r}") from None
 
     def read(self, event: str) -> float:
-        if event not in EVENTS:
-            raise HardwareError(f"unknown counter event {event!r}")
-        return self._values[event]
+        try:
+            return self._values[event]
+        except KeyError:
+            raise HardwareError(f"unknown counter event {event!r}") from None
 
     def snapshot(self) -> dict[str, float]:
-        return {e: self._values[e] for e in EVENTS}
+        return dict(self._values)
 
     def reset(self) -> None:
-        self._values.clear()
+        self._values = dict.fromkeys(EVENTS, 0.0)
 
 
 class Papi:

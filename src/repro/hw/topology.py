@@ -55,6 +55,11 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if min(self.sockets, self.dies_per_socket, self.cores_per_die) < 1:
             raise HardwareError(f"degenerate topology: {self}")
+        # Die of each core, for the per-stream lookup in die_of (not a
+        # field: it stays out of eq, hash and repr).
+        object.__setattr__(self, "_die_table", tuple(
+            core // self.cores_per_die for core in range(self.ncores)
+        ))
 
     # -- derived sizes --------------------------------------------------
     @property
@@ -78,7 +83,10 @@ class TopologySpec:
         return CorePlacement(core=core, die=die, socket=socket)
 
     def die_of(self, core: int) -> int:
-        return self.placement(core).die
+        table = self._die_table
+        if 0 <= core < len(table):
+            return table[core]
+        raise HardwareError(f"core {core} out of range for {self.name}")
 
     def socket_of(self, core: int) -> int:
         return self.placement(core).socket

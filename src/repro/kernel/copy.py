@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.hw.coherence import StreamBreakdown
 from repro.kernel.address_space import BufferView
 from repro.sim.events import AllOf
 from repro.units import CACHE_LINE, KiB
@@ -59,48 +58,37 @@ def iter_lockstep(
             soff = 0
 
 
-def _stream_cost(machine, breakdown: StreamBreakdown) -> tuple[float, int, int]:
-    """(cpu_seconds, dram_bytes, fsb_bytes) for one stream breakdown."""
-    p = machine.params
-    line = CACHE_LINE
-    cpu = (
-        breakdown.local_hits * line * p.t_l2_hit
-        + breakdown.remote_hits * line * p.t_fsb
-        + breakdown.dram_lines * line * p.t_dram
-    )
-    dram_bytes = breakdown.dram_lines * line
-    # FSB transactions: cache-to-cache transfers and DRAM fills carry a
-    # data phase; ownership upgrades are address-only and cost only a
-    # fraction of a slot.
-    fsb_bytes = (
-        breakdown.remote_hits
-        + breakdown.dram_lines
-        + breakdown.upgrade_lines * p.fsb_upgrade_weight
-    ) * line
-    return cpu, dram_bytes, fsb_bytes
-
-
 def _charge_chunk(
     machine, core: int, nbytes: int, breakdowns, move=None,
     parent=None, span_kind="copy", span_name=None,
 ):
     """Wait for the CPU / DRAM / FSB work of one chunk, then move data."""
     p = machine.params
+    line = CACHE_LINE
     access_cpu = 0.0
     dram_bytes = 0
     fsb_bytes = 0
     writeback_lines = 0
     for b in breakdowns:
-        c, d, f = _stream_cost(machine, b)
-        access_cpu += c
-        dram_bytes += d
-        fsb_bytes += f
+        access_cpu += (
+            b.local_hits * line * p.t_l2_hit
+            + b.remote_hits * line * p.t_fsb
+            + b.dram_lines * line * p.t_dram
+        )
+        dram_bytes += b.dram_lines * line
+        # FSB transactions: cache-to-cache transfers and DRAM fills
+        # carry a data phase; ownership upgrades are address-only and
+        # cost only a fraction of a slot.
+        fsb_bytes += (
+            b.remote_hits + b.dram_lines + b.upgrade_lines * p.fsb_upgrade_weight
+        ) * line
         writeback_lines += b.writeback_lines
     # A streaming copy loop overlaps its instruction stream with its
     # outstanding memory accesses (prefetch + OoO): the core is busy for
     # whichever is longer, not their sum.
     cpu = max(nbytes * p.t_instr, access_cpu)
-    machine.memory.charge_writebacks(writeback_lines * CACHE_LINE)
+    if writeback_lines:
+        machine.memory.charge_writebacks(writeback_lines * line)
     machine.papi.add(core, "CPU_BUSY", cpu)
 
     obs = machine.engine.obs
@@ -124,7 +112,8 @@ def _charge_chunk(
         yield AllOf(machine.engine, waits)
     if move is not None:
         move()
-    obs.end(span, dram=dram_bytes, fsb=fsb_bytes)
+    if span is not None:
+        obs.end(span, dram=dram_bytes, fsb=fsb_bytes)
 
 
 def cpu_copy(

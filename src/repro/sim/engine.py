@@ -1,8 +1,19 @@
-"""The discrete-event engine: clock, event heap, process registry."""
+"""The discrete-event engine: clock, event queue, process registry.
+
+The queue has two lanes.  Zero-delay callbacks (``call_soon``, event
+wakeups) go in a FIFO lane; everything else goes in a heap of
+``(time, seq, handle)`` tuples.  :meth:`Engine.step` pops whichever head
+is first by ``(time, seq)``, so callbacks run in exactly the order a
+single heap ordered by ``(time, seq)`` would give them.  The lane is
+already in that order: its handles are appended with the current time
+and increasing sequence numbers, and the clock never runs backwards
+while it holds any.
+"""
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, LivelockError, SimulationError
@@ -28,9 +39,6 @@ class Handle:
         """Prevent the callback from running; safe to call repeatedly."""
         self.cancelled = True
 
-    def __lt__(self, other: "Handle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Engine:
     """Deterministic discrete-event scheduler.
@@ -47,7 +55,10 @@ class Engine:
         obs=None,
     ) -> None:
         self.now: float = 0.0
-        self._heap: list[Handle] = []
+        #: Positive-delay callbacks as ``(time, seq, handle)``, a heap.
+        self._heap: list[tuple[float, int, Handle]] = []
+        #: Zero-delay callbacks as ``(time, seq, handle)``, in order.
+        self._lane: deque[tuple[float, int, Handle]] = deque()
         self._seq = 0
         self._alive_processes: set = set()
         self._failed: list[BaseException] = []
@@ -69,15 +80,23 @@ class Engine:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        handle = Handle(self.now + delay, self._seq, fn, args)
-        heapq.heappush(self._heap, handle)
+        self._seq = seq = self._seq + 1
+        time = self.now + delay
+        handle = Handle(time, seq, fn, args)
+        if delay == 0:
+            self._lane.append((time, seq, handle))
+        else:
+            heappush(self._heap, (time, seq, handle))
         return handle
 
     def call_soon(self, fn: Callable, *args: Any) -> Handle:
         """Run ``fn(*args)`` at the current instant, after the current
         callback completes (deferred, never re-entrant)."""
-        return self.schedule(0.0, fn, *args)
+        self._seq = seq = self._seq + 1
+        now = self.now
+        handle = Handle(now, seq, fn, args)
+        self._lane.append((now, seq, handle))
+        return handle
 
     # -- waitable constructors ----------------------------------------
     def event(self, name: str = "") -> Event:
@@ -125,15 +144,26 @@ class Engine:
         self._failed.append(exc)
 
     # -- main loop ----------------------------------------------------
+    def _first(self) -> tuple[float, int, Handle]:
+        """The queued entry ``step`` takes next (cancelled or not)."""
+        lane, heap = self._lane, self._heap
+        if lane and not (heap and heap[0] < lane[0]):
+            return lane[0]
+        return heap[0]
+
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False if none left."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
+        lane, heap = self._lane, self._heap
+        while lane or heap:
+            if lane and not (heap and heap[0] < lane[0]):
+                time, _, handle = lane.popleft()
+            else:
+                time, _, handle = heappop(heap)
             if handle.cancelled:
                 continue
-            if handle.time < self.now - 1e-18:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self.now = handle.time
+            if time < self.now - 1e-18:
+                raise SimulationError("event queue corrupted: time went backwards")
+            self.now = time
             handle.fn(*handle.args)
             self.events_executed += 1
             if self._failed:
@@ -153,9 +183,9 @@ class Engine:
         max_events: Optional[int] = None,
         max_sim_time: Optional[float] = None,
     ) -> float:
-        """Run until the heap drains (or past ``until``).
+        """Run until the queue drains (or past ``until``).
 
-        Raises :class:`DeadlockError` if the heap drains while processes
+        Raises :class:`DeadlockError` if the queue drains while processes
         are still parked on events, and re-raises the first uncaught
         exception from any process.  The progress watchdog —
         ``max_events`` / ``max_sim_time``, defaulting to the budgets
@@ -168,8 +198,15 @@ class Engine:
             max_events = self.max_events
         if max_sim_time is None:
             max_sim_time = self.max_sim_time
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
+        lane, heap = self._lane, self._heap
+        while lane or heap:
+            if until is not None and self._first()[0] > until:
+                if lane:
+                    # ``until`` lies before the clock: the lane joins the
+                    # heap, which keeps the ``(time, seq)`` order.
+                    heap.extend(lane)
+                    heapify(heap)
+                    lane.clear()
                 self.now = until
                 return self.now
             self.step()

@@ -35,14 +35,14 @@ class Event:
     # -- triggering ---------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, waking all waiters."""
-        self._trigger(ok=True, value=value)
+        self._trigger(True, value)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception delivered to waiters."""
         if not isinstance(exc, BaseException):
             raise SimulationError(f"Event.fail needs an exception, got {exc!r}")
-        self._trigger(ok=False, value=exc)
+        self._trigger(False, exc)
         return self
 
     def _trigger(self, ok: bool, value: Any) -> None:
@@ -51,11 +51,14 @@ class Event:
         self.triggered = True
         self.ok = ok
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for callback in waiters:
-            # Deferred delivery keeps wake order deterministic and
-            # avoids re-entrant process stepping.
-            self.engine.call_soon(callback, self)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            call_soon = self.engine.call_soon
+            for callback in waiters:
+                # Deferred delivery keeps wake order deterministic and
+                # avoids re-entrant process stepping.
+                call_soon(callback, self)
 
     # -- waiting ------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:

@@ -11,6 +11,7 @@ result.  This lets simulation code call helpers naturally::
 
 from __future__ import annotations
 
+from functools import partial
 from types import GeneratorType
 from typing import Any, Generator, Optional
 
@@ -127,7 +128,7 @@ class Process:
 
     def _park_on_event(self, event: Event) -> None:
         token = self._wake_token
-        event.add_callback(lambda evt, t=token: self._on_event_with_token(t, evt))
+        event.add_callback(partial(self._on_event_with_token, token))
 
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
         self.last_progress = self.engine.now
@@ -155,7 +156,11 @@ class Process:
                 send_value = None
                 continue
 
-            # Dispatch on what was yielded.
+            # Dispatch on what was yielded (events, the commonest, first).
+            if isinstance(item, Event):
+                self._wake_token += 1
+                self._park_on_event(item)
+                return
             if isinstance(item, GeneratorType):
                 self._stack.append(item)
                 send_value = None
@@ -171,10 +176,6 @@ class Process:
             if isinstance(item, Process):
                 self._wake_token += 1
                 self._park_on_event(item.done)
-                return
-            if isinstance(item, Event):
-                self._wake_token += 1
-                self._park_on_event(item)
                 return
             throw_exc = SimulationError(
                 f"{self.name} yielded unsupported value {item!r}"

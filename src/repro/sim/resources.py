@@ -15,20 +15,13 @@ hardware resources in this reproduction:
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
 __all__ = ["ProcessorSharing", "FifoLock", "Channel"]
-
-
-class _Job:
-    __slots__ = ("remaining", "event")
-
-    def __init__(self, remaining: float, event: Event) -> None:
-        self.remaining = remaining
-        self.event = event
 
 
 class ProcessorSharing:
@@ -46,7 +39,11 @@ class ProcessorSharing:
         self.engine = engine
         self.rate = float(rate)
         self.name = name
-        self._jobs: list[_Job] = []
+        self._job_name = f"{name}.job"
+        #: Work left per job, and each job's completion event, in
+        #: arrival order.
+        self._remaining: list[float] = []
+        self._events: list[Event] = []
         self._last_settle = engine.now
         self._timer = None
         # A nanosecond of full-rate service: the float tolerance for
@@ -57,19 +54,23 @@ class ProcessorSharing:
     @property
     def load(self) -> int:
         """Number of jobs currently in service."""
-        return len(self._jobs)
+        return len(self._events)
 
     def request(self, work: float) -> Event:
         """Submit ``work`` units; the returned event fires at completion."""
         if work < 0:
             raise SimulationError(f"negative work: {work}")
-        event = self.engine.event(name=f"{self.name}.job")
+        event = Event(self.engine, self._job_name)
         if work == 0:
             event.succeed(self.engine.now)
             return event
-        self._settle()
-        self._jobs.append(_Job(float(work), event))
-        self._reschedule()
+        work = float(work)
+        shortest = self._settle()
+        self._remaining.append(work)
+        self._events.append(event)
+        if self._timer is not None:
+            self._timer.cancel()
+        self._arm(min(shortest, work))
         return event
 
     def busy(self, seconds: float) -> Event:
@@ -77,36 +78,54 @@ class ProcessorSharing:
         return self.request(seconds)
 
     # -- internals ----------------------------------------------------
-    def _settle(self) -> None:
+    def _settle(self) -> float:
+        """Serve every job up to now; return the least work left
+        (infinity when idle)."""
         now = self.engine.now
-        if self._jobs:
-            served = (now - self._last_settle) * self.rate / len(self._jobs)
+        remaining = self._remaining
+        shortest = inf
+        if remaining:
+            served = (now - self._last_settle) * self.rate / len(remaining)
             if served > 0:
-                for job in self._jobs:
-                    job.remaining = max(0.0, job.remaining - served)
+                self._remaining = remaining = [
+                    left if (left := r - served) > 0.0 else 0.0 for r in remaining
+                ]
+            shortest = min(remaining)
         self._last_settle = now
+        return shortest
 
-    def _reschedule(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._jobs:
-            return
-        shortest = min(job.remaining for job in self._jobs)
-        delay = shortest * len(self._jobs) / self.rate
+    def _arm(self, shortest: float) -> None:
+        """Schedule the next departure: the shortest job at the current
+        per-job rate."""
+        delay = shortest * len(self._remaining) / self.rate
         self._timer = self.engine.schedule(delay, self._complete)
 
     def _complete(self) -> None:
         self._timer = None
-        self._settle()
-        finished = [j for j in self._jobs if j.remaining <= self._eps]
-        if not finished:
+        shortest = self._settle()
+        remaining, events = self._remaining, self._events
+        eps = self._eps
+        if shortest <= eps:
+            finished = []
+            kept, kept_events = [], []
+            for r, event in zip(remaining, events):
+                if r <= eps:
+                    finished.append(event)
+                else:
+                    kept.append(r)
+                    kept_events.append(event)
+            self._remaining = remaining = kept
+            self._events = kept_events
+        else:
             # Float drift: the min job is by construction done now.
-            finished = [min(self._jobs, key=lambda j: j.remaining)]
-        self._jobs = [j for j in self._jobs if j not in finished]
-        for job in finished:
-            job.event.succeed(self.engine.now)
-        self._reschedule()
+            index = remaining.index(shortest)
+            del remaining[index]
+            finished = [events.pop(index)]
+        now = self.engine.now
+        for event in finished:
+            event.succeed(now)
+        if remaining:
+            self._arm(min(remaining))
 
 
 class FifoLock:

@@ -1,4 +1,9 @@
-"""Supervised fleet: equivalence, quarantine, crash-resume, hygiene."""
+"""The coordinator-driven fleet runner (``repro.service.run_supervised``):
+equivalence with the serial runner, quarantine, crash-resume, hygiene.
+
+The file keeps the name of the supervisor module it once tested, so
+that the ids of its tests stay stable.
+"""
 
 import json
 

@@ -47,6 +47,14 @@ def test_core_out_of_range():
         t.cores_of_die(4)
 
 
+def test_die_of_range_checked():
+    t = xeon_e5345()
+    assert [t.die_of(c) for c in range(t.ncores)] == [0, 0, 1, 1, 2, 2, 3, 3]
+    for core in (-1, t.ncores):
+        with pytest.raises(HardwareError):
+            t.die_of(core)
+
+
 def test_degenerate_topology_rejected():
     with pytest.raises(HardwareError):
         TopologySpec(name="bad", sockets=0, dies_per_socket=1, cores_per_die=1)
